@@ -154,10 +154,12 @@ def sweep_cmd(scene_path, out_dir, grid, formats, resolution):
     out.mkdir(parents=True, exist_ok=True)
     n = grid or min(scene.grid, 129)
     fmts = formats or scene.formats
+    frames_wanted = "svg" in fmts or "csv" in fmts
     monitors = [IntersectionMonitor(a, b) for a, b in PAIRS] + [UmbilicCountMonitor()]
     try:
-        result = run_sweep(scene.family, monitors, scene.domain, n,
-                           resolution=resolution, keep_curves=FIELD_KINDS)
+        # curves are traced per sample only for the frames that get written
+        result = run_sweep(scene.family, monitors, scene.domain, n, resolution=resolution,
+                           keep_curves=FIELD_KINDS if frames_wanted else ())
     except EventBracketError as e:
         click.echo(f"sweep error: {e}", err=True)
         sys.exit(4)
@@ -165,7 +167,7 @@ def sweep_cmd(scene_path, out_dir, grid, formats, resolution):
     events = [e.to_jsonable() for e in result.events]
     _dump_json({"events": events, "snapshots": result.snapshots},
                out / "events.json")
-    if "svg" in fmts or "csv" in fmts:
+    if frames_wanted:
         frames = out / "frames"
         frames.mkdir(exist_ok=True)
         for idx, (t, per_kind) in enumerate(zip(result.ts, result.curves)):

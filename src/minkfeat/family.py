@@ -261,8 +261,7 @@ def umbilic_points(patch: MongePatch, domain=((-0.1, 0.1), (-0.1, 0.1)),
     grads = [(j.diff("x"), j.diff("y")) for j in jets]
     xs = np.linspace(rect.xmin, rect.xmax, seeds)
     ys = np.linspace(rect.ymin, rect.ymax, seeds)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    R = sum(np.asarray(j.eval(X, Y), float) ** 2 for j in jets)
+    R = sum(np.asarray(j.eval_grid(xs, ys), float) ** 2 for j in jets)
     # seeds: local minima of the residual
     pad = np.pad(R, 1, constant_values=np.inf)
     ismin = np.ones_like(R, dtype=bool)

@@ -6,7 +6,9 @@ square array ``c[p, q]`` holding the coefficient of x^p y^q, which makes
 ring operations plain array arithmetic.  Ring operations truncate above
 the degree, so a Jet2 of degree k is an element of R[x,y]/m^(k+1).
 
-Jets are immutable after construction and safe to share across threads.
+Jets are immutable after construction and safe to share across threads;
+the coefficients cut to the true degree and the partial derivatives are
+computed on first use and cached.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ class DegenerateIFT(ValueError):
 class Jet2:
     """Degree-k truncated polynomial in two variables."""
 
-    __slots__ = ("degree", "c")
+    __slots__ = ("degree", "c", "_trim", "_diffs")
 
     def __init__(self, degree: int, c: np.ndarray | None = None):
         if degree < 0:
@@ -174,6 +176,13 @@ class Jet2:
         return float(self.c[p, q])
 
     def diff(self, var: str) -> "Jet2":
+        try:
+            cache = self._diffs
+        except AttributeError:
+            cache = self._diffs = {}
+        got = cache.get(var)
+        if got is not None:
+            return got
         n = self.degree + 1
         out = np.zeros((n, n))
         if var == "x":
@@ -184,11 +193,40 @@ class Jet2:
                 out[:, q - 1] += q * self.c[:, q]
         else:
             raise ValueError("var must be 'x' or 'y'")
-        return Jet2(max(self.degree - 1, 0), out)
+        got = cache[var] = Jet2(max(self.degree - 1, 0), out)
+        return got
+
+    def _true_coeffs(self) -> np.ndarray:
+        """``c`` without its trailing rows and columns of +0.0.
+
+        A leading +0.0 coefficient is an exact no-op in Horner's rule for
+        every finite argument, so evaluating the cut array is bit-identical
+        to evaluating the padded one.  A -0.0 is not (it can flip the sign
+        of a zero result), so rows and columns holding one are kept.
+        """
+        try:
+            return self._trim
+        except AttributeError:
+            nz = self.c.view(np.uint64) != 0
+            rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+            self._trim = self.c[: rows[-1] + 1 if rows.size else 1,
+                                : cols[-1] + 1 if cols.size else 1]
+            return self._trim
 
     def eval(self, x, y):
         """Evaluate exactly at scalars or numpy arrays (broadcasting)."""
-        return np.polynomial.polynomial.polyval2d(np.asarray(x), np.asarray(y), self.c)
+        return np.polynomial.polynomial.polyval2d(np.asarray(x), np.asarray(y),
+                                                  self._true_coeffs())
+
+    def eval_grid(self, xs, ys):
+        """Values on the tensor grid xs x ys, indexed [i, j] -> (xs[i], ys[j]).
+
+        Bit-identical to ``eval`` on ``np.meshgrid(xs, ys, indexing="ij")``:
+        both run the same Horner steps per element, x first, but this
+        never builds the meshgrid or a (degree, n, n) temporary.
+        """
+        return np.polynomial.polynomial.polygrid2d(np.asarray(xs), np.asarray(ys),
+                                                   self._true_coeffs())
 
     def gradient_at(self, x: float, y: float):
         return np.array([self.diff("x").eval(x, y), self.diff("y").eval(x, y)])

@@ -9,14 +9,21 @@ for reproducibility.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .patch import LIGHTCONE_FORM, TIMELIKE_FORM, MongePatch
 from .family import FamilySpec
 
-__all__ = ["Scene", "SceneError", "load_scene", "parse_scene", "scene_to_dict"]
+__all__ = ["Scene", "SceneError", "load_scene", "parse_scene", "scene_to_dict",
+           "MAX_GRID", "MAX_SAMPLES"]
 
 SCHEMA_VERSION = 1
+#: largest accepted ``grid``: a trace holds a few grid-sized float arrays,
+#: about 34 MB each at this size
+MAX_GRID = 2049
+#: largest accepted ``family.samples``
+MAX_SAMPLES = 10001
 
 #: curve colors from the figure conventions: LD black, LPL red, PC blue,
 #: MCNC green
@@ -42,27 +49,56 @@ def _require(cond, msg):
         raise SceneError(msg)
 
 
+def _number(v, what) -> float:
+    """A finite JSON number (booleans, NaN and infinities rejected)."""
+    x = float("nan")
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:
+            pass
+    _require(math.isfinite(x), f"{what} must be a finite number, got {v!r}")
+    return x
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer(v, what, lo, hi) -> int:
+    _require(_is_int(v) and lo <= v <= hi, f"{what} must be an integer in {lo}..{hi}, got {v!r}")
+    return v
+
+
+def _index(item, degree, what):
+    s, i = item[0], item[1]
+    _require(_is_int(s) and _is_int(i) and 0 <= i <= s <= degree,
+             f"bad {what} index ({s!r},{i!r})")
+    return s, i
+
+
 def parse_scene(data: dict) -> Scene:
     _require(isinstance(data, dict), "scene must be a JSON object")
-    _require(data.get("version") == SCHEMA_VERSION, f"version must be {SCHEMA_VERSION}")
+    version = data.get("version")
+    _require(_is_int(version) and version == SCHEMA_VERSION,
+             f"version must be {SCHEMA_VERSION}")
+    # sizes first: nothing below allocates, but a scene asking for a
+    # huge grid or sample count is refused before any work starts
+    grid = _integer(data.get("grid", 257), "grid", 16, MAX_GRID)
     pd = data.get("patch")
     _require(isinstance(pd, dict), "missing patch object")
     form = pd.get("form")
     _require(form in (TIMELIKE_FORM, LIGHTCONE_FORM),
              f"patch.form must be '{TIMELIKE_FORM}' or '{LIGHTCONE_FORM}'")
-    degree = pd.get("degree")
-    _require(isinstance(degree, int) and 2 <= degree <= 8, "patch.degree must be 2..8")
+    degree = _integer(pd.get("degree"), "patch.degree", 2, 8)
     coeffs = pd.get("coefficients")
     _require(isinstance(coeffs, list), "patch.coefficients must be a list of [s,i,value]")
     triples = []
     for item in coeffs:
         _require(isinstance(item, (list, tuple)) and len(item) == 3,
                  f"bad coefficient entry {item!r}")
-        s, i, v = item
-        _require(isinstance(s, int) and isinstance(i, int) and 0 <= i <= s <= degree,
-                 f"bad coefficient index ({s},{i})")
-        _require(isinstance(v, (int, float)), f"bad coefficient value {v!r}")
-        triples.append((s, i, float(v)))
+        s, i = _index(item, degree, "coefficient")
+        triples.append((s, i, _number(item[2], f"coefficient ({s},{i})")))
     # the linear normalization is implied by the form tag
     low = [t for t in triples if t[0] < 2]
     _require(not low, "coefficients must have s >= 2; the 1-jet is fixed by the form")
@@ -75,26 +111,28 @@ def parse_scene(data: dict) -> Scene:
         raise SceneError(str(e)) from e
 
     dom = data.get("domain", {"halfwidth": 0.25})
+    _require(isinstance(dom, dict), "domain must be an object")
     if "halfwidth" in dom:
-        h = float(dom["halfwidth"])
+        h = _number(dom["halfwidth"], "domain.halfwidth")
         _require(h > 0, "domain.halfwidth must be positive")
-        cx, cy = dom.get("center", [0.0, 0.0])
+        center = dom.get("center", [0.0, 0.0])
+        _require(isinstance(center, list) and len(center) == 2,
+                 "domain.center must be a list [x, y]")
+        cx, cy = (_number(c, "domain.center") for c in center)
         domain = ((cx - h, cx + h), (cy - h, cy + h))
     else:
         _require(all(k in dom for k in ("xmin", "xmax", "ymin", "ymax")),
                  "domain needs halfwidth or xmin/xmax/ymin/ymax")
-        domain = ((float(dom["xmin"]), float(dom["xmax"])),
-                  (float(dom["ymin"]), float(dom["ymax"])))
+        domain = ((_number(dom["xmin"], "domain.xmin"), _number(dom["xmax"], "domain.xmax")),
+                  (_number(dom["ymin"], "domain.ymin"), _number(dom["ymax"], "domain.ymax")))
         _require(domain[0][0] < domain[0][1] and domain[1][0] < domain[1][1],
                  "empty domain rectangle")
-
-    grid = data.get("grid", 257)
-    _require(isinstance(grid, int) and grid >= 16, "grid must be an integer >= 16")
 
     family = None
     if "family" in data:
         fd = data["family"]
         _require(isinstance(fd, dict), "family must be an object")
+        samples = _integer(fd.get("samples", 41), "family.samples", 3, MAX_SAMPLES)
         pert_list = fd.get("perturbation")
         _require(isinstance(pert_list, list) and pert_list,
                  "family.perturbation must be a nonempty list of [s,i,[t-coeffs]]")
@@ -102,27 +140,30 @@ def parse_scene(data: dict) -> Scene:
         for item in pert_list:
             _require(isinstance(item, (list, tuple)) and len(item) == 3,
                      f"bad perturbation entry {item!r}")
-            s, i, tc = item
-            _require(isinstance(s, int) and isinstance(i, int) and 0 <= i <= s <= degree,
-                     f"bad perturbation index ({s},{i})")
-            _require(isinstance(tc, (list, tuple)) and
-                     all(isinstance(c, (int, float)) for c in tc),
+            s, i = _index(item, degree, "perturbation")
+            tc = item[2]
+            _require(isinstance(tc, (list, tuple)),
                      f"perturbation t-coefficients must be numbers: {tc!r}")
-            pert[(s, i)] = tuple(float(c) for c in tc)
+            pert[(s, i)] = tuple(_number(c, "perturbation t-coefficient") for c in tc)
         rng = fd.get("range", [-0.01, 0.01])
-        _require(len(rng) == 2 and rng[0] != rng[1],
+        _require(isinstance(rng, list) and len(rng) == 2,
                  "family.range must be two distinct endpoints")
-        samples = fd.get("samples", 41)
-        _require(isinstance(samples, int) and samples >= 3, "family.samples must be >= 3")
-        family = FamilySpec(patch, pert, (float(rng[0]), float(rng[1])), samples)
+        rng = tuple(_number(t, "family.range endpoint") for t in rng)
+        _require(rng[0] != rng[1], "family.range must be two distinct endpoints")
+        family = FamilySpec(patch, pert, rng, samples)
 
     out = data.get("output", {})
+    _require(isinstance(out, dict), "output must be an object")
+    user_colors = out.get("colors", {})
+    _require(isinstance(user_colors, dict)
+             and all(isinstance(v, str) for v in user_colors.values()),
+             "output.colors must map curve names to color strings")
     colors = dict(DEFAULT_COLORS)
-    colors.update(out.get("colors", {}))
-    formats = tuple(out.get("formats", ["json"]))
-    _require(all(f in ("json", "csv", "svg") for f in formats),
+    colors.update(user_colors)
+    formats = out.get("formats", ["json"])
+    _require(isinstance(formats, list) and all(f in ("json", "csv", "svg") for f in formats),
              "output.formats entries must be json|csv|svg")
-    return Scene(patch, domain, grid, family, colors, formats)
+    return Scene(patch, domain, grid, family, colors, tuple(formats))
 
 
 def load_scene(path) -> Scene:

@@ -5,6 +5,14 @@ bisection, segments linked into polylines.  Saddle cells are resolved by
 the sign of the cell-centre sample.  Isolated zeros (Morse minima/maxima
 sitting exactly at level 0) are found separately from grid minima of the
 absolute field, since sign-based cells never see them.
+
+Field evaluation is batched: the grid is sampled with ``Jet2.eval_grid``,
+all crossing edges are bisected together, and all Newton seeds of
+``intersect`` (all Gauss-Newton candidates of the isolated-zero search)
+step together, each row keeping its own stop rule.  Every row does the
+arithmetic of a scalar loop, so results are bit-identical to one; the
+number of field evaluations grows with the iteration count, not with the
+number of edges or seeds.
 """
 from __future__ import annotations
 
@@ -34,6 +42,8 @@ DEFAULT_DOMAIN = ((-0.25, 0.25), (-0.25, 0.25))
 DEFAULT_GRID = 257
 REFINE_TOL = 1e-10
 _BISECT_ITERS = 30
+#: iteration cap of the Newton and Gauss-Newton polish of candidate zeros
+_NEWTON_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -97,20 +107,32 @@ class IntersectionPoint:
     transversal: bool
 
 
-def _bisect_edge(f, p0, p1, s0):
-    """Root of f on the segment [p0, p1] given sign(f(p0)) = s0 != 0."""
-    a, b = np.asarray(p0, float), np.asarray(p1, float)
+def _bisect_edges(jet, a, b, s0):
+    """Roots of the jet on the segments [a[k], b[k]] given the nonzero sign
+    s0[k] of the jet at a[k]: _BISECT_ITERS halvings of every segment at
+    once, a row stopping early when its midpoint is an exact zero.
+    Returns the points and the absolute residuals."""
+    pts = np.empty_like(a)
+    res = np.zeros(len(a))
+    live = np.arange(len(a))
+    pos = s0 > 0
     for _ in range(_BISECT_ITERS):
+        if not live.size:
+            break
         mid = 0.5 * (a + b)
-        fm = float(f(mid[0], mid[1]))
-        if fm == 0.0:
-            return mid, 0.0
-        if (fm > 0) == (s0 > 0):
-            a = mid
-        else:
-            b = mid
+        fm = _at(jet, mid)
+        hit = fm == 0.0
+        if hit.any():
+            pts[live[hit]] = mid[hit]
+            keep = ~hit
+            live, a, b, mid, fm, pos = live[keep], a[keep], b[keep], mid[keep], fm[keep], pos[keep]
+        same = ((fm > 0) == pos)[:, None]
+        a = np.where(same, mid, a)
+        b = np.where(same, b, mid)
     mid = 0.5 * (a + b)
-    return mid, float(f(mid[0], mid[1]))
+    pts[live] = mid
+    res[live] = np.abs(_at(jet, mid))
+    return pts, res
 
 
 def trace(fld: FeatureField, domain=DEFAULT_DOMAIN, n: int = DEFAULT_GRID) -> TracedCurve:
@@ -120,72 +142,54 @@ def trace(fld: FeatureField, domain=DEFAULT_DOMAIN, n: int = DEFAULT_GRID) -> Tr
     rect = Rect.make(domain)
     xs = np.linspace(rect.xmin, rect.xmax, n)
     ys = np.linspace(rect.ymin, rect.ymax, n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    V = np.asarray(fld(X, Y), dtype=float)
+    jet = fld.jet
+    V = np.asarray(jet.eval_grid(xs, ys), dtype=float)
     S = np.sign(V)
     S[S == 0] = 1.0  # grid value exactly zero: treat as positive, bisection recovers it
 
-    f = fld
-    # refined crossing on each grid edge, indexed by (i, j, orientation)
-    cross_pts: dict[tuple[int, int, str], tuple[np.ndarray, float]] = {}
-
-    def edge_point(i, j, kind):
-        key = (i, j, kind)
-        horiz = kind == "h"
-        got = cross_pts.get(key)
-        if got is not None:
-            return got
-        if horiz:  # from (i,j) to (i+1,j)
-            p0 = (xs[i], ys[j])
-            p1 = (xs[i + 1], ys[j])
-            s0 = S[i, j]
-        else:      # from (i,j) to (i,j+1)
-            p0 = (xs[i], ys[j])
-            p1 = (xs[i], ys[j + 1])
-            s0 = S[i, j]
-        pt, res = _bisect_edge(f, p0, p1, s0)
-        cross_pts[key] = (pt, abs(res))
-        return cross_pts[key]
-
-    # segments as pairs of edge keys
-    segments: list[tuple[tuple, tuple]] = []
     hcross = S[:-1, :] * S[1:, :] < 0   # edge (i,j)-(i+1,j)
     vcross = S[:, :-1] * S[:, 1:] < 0   # edge (i,j)-(i,j+1)
-    cells = np.argwhere(hcross[:, :-1] | hcross[:, 1:] | vcross[:-1, :] | vcross[1:, :])
-    for i, j in cells:
-        edges = []
-        if hcross[i, j]:
-            edges.append((i, j, "h"))       # bottom
-        if vcross[i + 1, j]:
-            edges.append((i + 1, j, "v"))   # right
-        if hcross[i, j + 1]:
-            edges.append((i, j + 1, "h"))   # top
-        if vcross[i, j]:
-            edges.append((i, j, "v"))       # left
-        if len(edges) == 2:
-            segments.append((edges[0], edges[1]))
-        elif len(edges) == 4:
-            # saddle cell: centre sample decides the pairing
-            cx = 0.5 * (xs[i] + xs[i + 1])
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            sc = np.sign(float(f(cx, cy))) or 1.0
-            bottom, right, top, left = (i, j, "h"), (i + 1, j, "v"), (i, j + 1, "h"), (i, j, "v")
-            if sc == S[i, j]:
-                segments.append((bottom, right))
-                segments.append((top, left))
-            else:
-                segments.append((bottom, left))
-                segments.append((top, right))
-        # odd counts only happen when a vertex sits exactly on the curve;
-        # the sign convention above prevents that
+    # edge (i, j, o), o = 0 for (i,j)-(i+1,j) and 1 for (i,j)-(i,j+1), has
+    # key 2 (i n + j) + o: its flat index in `crossing`, so keys sort like
+    # the (i, j, o) triples
+    crossing = np.zeros((n, n, 2), dtype=bool)
+    crossing[:-1, :, 0] = hcross
+    crossing[:, :-1, 1] = vcross
+    keys = np.flatnonzero(crossing)
+    (i, j), o = divmod(keys // 2, n), keys % 2
+    edge_pts, edge_res = _bisect_edges(
+        jet, np.column_stack([xs[i], ys[j]]), np.column_stack([xs[i + 1 - o], ys[j + o]]), S[i, j])
+
+    def key(i, j, o):
+        return 2 * (i * n + j) + o
+
+    # segments as pairs of edge keys, cell by cell in row-major order; each
+    # cell has 2 crossed sides, or 4 (a saddle, whose centre sample decides
+    # the pairing): odd counts only happen when a vertex sits exactly on
+    # the curve, which the sign convention above prevents
+    ci, cj = np.nonzero(hcross[:, :-1] | hcross[:, 1:] | vcross[:-1, :] | vcross[1:, :])
+    sides = np.column_stack([key(ci, cj, 0), key(ci + 1, cj, 1),
+                             key(ci, cj + 1, 0), key(ci, cj, 1)])  # bottom, right, top, left
+    crossed = crossing.ravel()[sides]
+    saddle = crossed.all(axis=1)
+    si, sj = ci[saddle], cj[saddle]
+    sc = np.sign(_at(jet, np.column_stack([0.5 * (xs[si] + xs[si + 1]),
+                                           0.5 * (ys[sj] + ys[sj + 1])])))
+    sc[sc == 0] = 1.0
+    # the sides each segment joins: the two crossed ones of a plain cell;
+    # bottom-right and top-left, or bottom-left and top-right, of a saddle
+    pick = np.argsort(~crossed, axis=1, kind="stable")
+    pick[saddle] = np.where((sc == S[si, sj])[:, None], [0, 1, 2, 3], [0, 3, 2, 1])
+    ends = np.take_along_axis(sides, pick, axis=1).reshape(-1, 2, 2)
+    segments = ends[np.column_stack([np.ones_like(saddle), saddle])].tolist()
 
     # link segments into polylines over shared edge keys
-    adj: dict[tuple, list[int]] = {}
+    adj: dict[int, list[int]] = {}
     for idx, (e0, e1) in enumerate(segments):
         adj.setdefault(e0, []).append(idx)
         adj.setdefault(e1, []).append(idx)
     used = np.zeros(len(segments), dtype=bool)
-    polylines, residuals = [], []
+    polylines = []
 
     def walk(start_edge):
         chain = [start_edge]
@@ -218,21 +222,18 @@ def trace(fld: FeatureField, domain=DEFAULT_DOMAIN, n: int = DEFAULT_GRID) -> Tr
             polylines.append(chain)
 
     cell = max(xs[1] - xs[0], ys[1] - ys[0])
-    out_lines, out_res = [], []
-    point_like = []
-    for chain in polylines:
-        pts = np.array([edge_point(*e)[0] for e in chain])
-        res = np.array([edge_point(*e)[1] for e in chain])
-        # a chain of sub-cell diameter whose centre is also a zero is an
-        # isolated zero sitting exactly on a lattice point, wrapped by the
-        # forced-sign convention (tiny genuine ovals keep a nonzero centre)
-        ctr = pts.mean(axis=0)
-        if (np.ptp(pts[:, 0]) <= cell and np.ptp(pts[:, 1]) <= cell
-                and abs(float(fld(ctr[0], ctr[1]))) < 10 * REFINE_TOL):
-            point_like.append(ctr)
-            continue
-        out_lines.append(pts)
-        out_res.append(res)
+    lines = [(edge_pts[rows], edge_res[rows])
+             for rows in (np.searchsorted(keys, chain) for chain in polylines)]
+    # a chain of sub-cell diameter whose centre is also a zero is an
+    # isolated zero sitting exactly on a lattice point, wrapped by the
+    # forced-sign convention (tiny genuine ovals keep a nonzero centre)
+    small = [k for k, (pts, _) in enumerate(lines) if (np.ptp(pts, axis=0) <= cell).all()]
+    ctrs = np.array([lines[k][0].mean(axis=0) for k in small]).reshape(-1, 2)
+    at_zero = np.abs(_at(jet, ctrs)) < 10 * REFINE_TOL
+    point_like = list(ctrs[at_zero])
+    wrapped = {k for k, z in zip(small, at_zero) if z}
+    out_lines = [pts for k, (pts, _) in enumerate(lines) if k not in wrapped]
+    out_res = [res for k, (_, res) in enumerate(lines) if k not in wrapped]
 
     isolated, extra_lines, extra_res = _signless_zeros(fld, V, xs, ys, hcross, vcross)
     out_lines += extra_lines
@@ -250,10 +251,11 @@ def _signless_zeros(fld, V, xs, ys, hcross, vcross):
 
     Local minima of |field| on the grid away from any sign change are
     polished by Gauss-Newton on the gradient (the zero level of a field
-    of constant sign consists of critical points).  Polished points are
-    kept when the field value is below tolerance; points that chain
-    within two grid cells of each other form degenerate polylines (e.g.
-    a squared line), lone points are reported as isolated zeros (A1+)."""
+    of constant sign consists of critical points), all candidates at
+    once.  Polished points are kept when the field value is below
+    tolerance; points that chain within two grid cells of each other form
+    degenerate polylines (e.g. a squared line), lone points are reported
+    as isolated zeros (A1+)."""
     A = np.abs(V)
     interior = A[1:-1, 1:-1]
     is_min = (
@@ -261,29 +263,36 @@ def _signless_zeros(fld, V, xs, ys, hcross, vcross):
         & (interior <= A[1:-1, :-2]) & (interior <= A[1:-1, 2:])
     )
     cell_scale = max(xs[1] - xs[0], ys[1] - ys[0])
-    found = []
-    for i, j in np.argwhere(is_min):
-        ii, jj = i + 1, j + 1
-        if hcross[max(ii - 1, 0) : ii + 1, jj].any() or vcross[ii, max(jj - 1, 0) : jj + 1].any():
-            continue
-        x0, y0 = xs[ii], ys[jj]
-        # plausibility: a zero extremum has |f| = O(||H|| d^2) within a cell
-        Hn = max(1.0, float(np.abs(fld.jet.hessian_at(x0, y0)).max()))
-        if A[ii, jj] > 4.0 * Hn * cell_scale**2:
-            continue
-        p = np.array([x0, y0])
-        ok = False
-        for _ in range(60):
-            g = fld.gradient_at(p[0], p[1])
-            H = fld.jet.hessian_at(p[0], p[1])
-            step = np.linalg.lstsq(H, -g, rcond=None)[0]
-            p = p + step
+    ii, jj = (np.argwhere(is_min) + 1).T
+    away = ~(hcross[ii - 1, jj] | hcross[ii, jj] | vcross[ii, jj - 1] | vcross[ii, jj])
+    ii, jj = ii[away], jj[away]
+    jet = fld.jet
+    fx, fy = jet.diff("x"), jet.diff("y")
+    second = (fx.diff("x"), fx.diff("y"), fy.diff("y"))
+    P = np.column_stack([xs[ii], ys[jj]])
+    # plausibility: a zero extremum has |f| = O(||H|| d^2) within a cell
+    Hn = np.maximum(1.0, np.abs([_at(d, P) for d in second]).max(axis=0))
+    P = P[~(A[ii, jj] > 4.0 * Hn * cell_scale**2)]
+    ok = np.zeros(len(P), dtype=bool)
+    live = np.arange(len(P))
+    for _ in range(_NEWTON_ITERS):
+        if not live.size:
+            break
+        g = np.column_stack([_at(fx, P[live]), _at(fy, P[live])])
+        hxx, hxy, hyy = (_at(d, P[live]) for d in second)
+        done = np.zeros(live.size, dtype=bool)
+        for k, row in enumerate(live):
+            H = np.array([[hxx[k], hxy[k]], [hxy[k], hyy[k]]])
+            step = np.linalg.lstsq(H, -g[k], rcond=None)[0]
+            P[row] = P[row] + step
             if np.linalg.norm(step) < 1e-14:
-                ok = True
-                break
-        if ok and abs(float(fld(p[0], p[1]))) < REFINE_TOL:
-            if not any(np.hypot(*(p - q)) < 0.5 * cell_scale for q in found):
-                found.append(p)
+                ok[row] = done[k] = True
+        live = live[~done]
+    P = P[ok]
+    found = []
+    for p in P[np.abs(_at(jet, P)) < REFINE_TOL]:
+        if not any(np.hypot(*(p - q)) < 0.5 * cell_scale for q in found):
+            found.append(p)
     if not found:
         return np.zeros((0, 2)), [], []
 
@@ -331,13 +340,13 @@ def _signless_zeros(fld, V, xs, ys, hcross, vcross):
 def intersect(a: FeatureField, b: FeatureField, domain=DEFAULT_DOMAIN,
               n: int = DEFAULT_GRID, merge_tol: float = 1e-6) -> list[IntersectionPoint]:
     """Common zeros of two fields: seeds from cells where both change
-    sign, polished by Newton on (a, b) with the exact jet Jacobian."""
+    sign, polished by Newton on (a, b) with the exact jet Jacobian, all
+    seeds at once, each stopping by its own test."""
     rect = Rect.make(domain)
     xs = np.linspace(rect.xmin, rect.xmax, n)
     ys = np.linspace(rect.ymin, rect.ymax, n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Sa = np.sign(np.asarray(a(X, Y), float))
-    Sb = np.sign(np.asarray(b(X, Y), float))
+    Sa = np.sign(np.asarray(a.jet.eval_grid(xs, ys), float))
+    Sb = np.sign(np.asarray(b.jet.eval_grid(xs, ys), float))
     Sa[Sa == 0] = 1
     Sb[Sb == 0] = 1
 
@@ -350,42 +359,39 @@ def intersect(a: FeatureField, b: FeatureField, domain=DEFAULT_DOMAIN,
         return c
 
     seeds = np.argwhere(cell_changes(Sa) & cell_changes(Sb))
-    ax, ay = a.jet.diff("x"), a.jet.diff("y")
-    bx, by = b.jet.diff("x"), b.jet.diff("y")
-    found: list[np.ndarray] = []
-    for i, j in seeds:
-        p = np.array([0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])])
-        converged = False
-        for _ in range(60):
-            r = np.array([float(a(p[0], p[1])), float(b(p[0], p[1]))])
-            J = np.array(
-                [
-                    [float(ax.eval(p[0], p[1])), float(ay.eval(p[0], p[1]))],
-                    [float(bx.eval(p[0], p[1])), float(by.eval(p[0], p[1]))],
-                ]
-            )
-            try:
-                step = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                break
-            # keep Newton inside a sane neighbourhood of the seed cell
-            if np.linalg.norm(step) > 4 * rect.diag:
-                break
-            p = p + step
-            if np.linalg.norm(step) < 1e-15 or (np.abs(r) < REFINE_TOL).all():
-                converged = np.max(np.abs([float(a(p[0], p[1])), float(b(p[0], p[1]))])) < REFINE_TOL
-                if converged:
-                    break
-        if not converged:
-            log.debug("intersect: Newton did not converge from cell (%d,%d)", i, j)
-            continue
-        if not rect.contains(p, pad=rect.diag * 1e-9):
-            continue
-        found.append(p)
+    si, sj = seeds[:, 0], seeds[:, 1]
+    P = np.column_stack([0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1])])
+    jac = (a.jet.diff("x"), a.jet.diff("y"), b.jet.diff("x"), b.jet.diff("y"))
+    R = np.column_stack([_at(a.jet, P), _at(b.jet, P)])
+    converged = np.zeros(len(P), dtype=bool)
+    live = np.arange(len(P))
+    max_step = 4 * rect.diag
+    for _ in range(_NEWTON_ITERS):
+        if not live.size:
+            break
+        J = np.stack([_at(d, P[live]) for d in jac], axis=1).reshape(-1, 2, 2)
+        steps = _solve_rows(J, -R[live])
+        # np.linalg.norm per row: its BLAS dot rounds unlike a vectorised sum
+        size = np.array([np.linalg.norm(step) for step in steps])
+        check = (size < 1e-15) | (np.abs(R[live]) < REFINE_TOL).all(axis=1)
+        # a singular Jacobian (NaN step), or a step leaving a sane
+        # neighbourhood of the seed cell, ends the row unconverged
+        keep = size <= max_step
+        live, check = live[keep], check[keep]
+        P[live] = P[live] + steps[keep]
+        R[live] = np.column_stack([_at(a.jet, P[live]), _at(b.jet, P[live])])
+        done = check & (np.abs(R[live]).max(axis=1, initial=0.0) < REFINE_TOL)
+        converged[live[done]] = True
+        live = live[~done]
+    for i, j in seeds[~converged]:
+        log.debug("intersect: Newton did not converge from cell (%d,%d)", i, j)
+    found = P[converged]
+    found = found[np.array([rect.contains(p, pad=rect.diag * 1e-9) for p in found], dtype=bool)]
+    grads = [_at(d, found) for d in jac]
 
-    def point_data(p):
-        ga = a.gradient_at(p[0], p[1])
-        gb = b.gradient_at(p[0], p[1])
+    def point_data(k):
+        ga = np.array([grads[0][k], grads[1][k]])
+        gb = np.array([grads[2][k], grads[3][k]])
         na, nb = np.linalg.norm(ga), np.linalg.norm(gb)
         floor = 1e-12
         # Newton resolves the position only to ~ residual_tol / |gradient|
@@ -401,8 +407,9 @@ def intersect(a: FeatureField, b: FeatureField, domain=DEFAULT_DOMAIN,
         return transversal, float(uncert)
 
     merged: list[tuple[np.ndarray, bool, float]] = []
-    for p in sorted(found, key=lambda q: (q[0], q[1])):
-        tr_p, u_p = point_data(p)
+    for k in sorted(range(len(found)), key=lambda k: (found[k][0], found[k][1])):
+        p = found[k]
+        tr_p, u_p = point_data(k)
         dup = False
         for q, _, u_q in merged:
             if np.hypot(*(p - q)) < max(merge_tol, 4.0 * (u_p + u_q)):
@@ -411,12 +418,35 @@ def intersect(a: FeatureField, b: FeatureField, domain=DEFAULT_DOMAIN,
         if not dup:
             merged.append((p, tr_p, u_p))
 
+    M = np.array([p for p, _, _ in merged]).reshape(-1, 2)
+    ra, rb = _at(a.jet, M), _at(b.jet, M)
     return [
         IntersectionPoint(
             position=p,
             kinds=(a.kind, b.kind),
-            residuals=(float(a(p[0], p[1])), float(b(p[0], p[1]))),
+            residuals=(float(ra[k]), float(rb[k])),
             transversal=tr_p,
         )
-        for p, tr_p, _ in merged
+        for k, (p, tr_p, _) in enumerate(merged)
     ]
+
+
+def _at(jet, pts) -> np.ndarray:
+    """Values of the jet at the rows of an (m, 2) array; no call when m = 0."""
+    if not len(pts):
+        return np.zeros(0)
+    return np.asarray(jet.eval(pts[:, 0], pts[:, 1]), float)
+
+
+def _solve_rows(J, rhs) -> np.ndarray:
+    """``np.linalg.solve`` of each 2x2 system; NaN rows where J is singular."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for k in range(len(J)):
+            try:
+                out[k] = np.linalg.solve(J[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return out

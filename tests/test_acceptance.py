@@ -343,8 +343,10 @@ def test_criterion_09_convention_invariance():
 
 
 def test_criterion_10_determinism(tmp_path):
-    """Repeated sweep runs produce byte-identical event JSON."""
+    """Repeated sweep runs produce byte-identical event JSON, equal to the
+    golden digest recorded before the batched zero-set kernels."""
     import hashlib
+    import pathlib
 
     from click.testing import CliRunner
 
@@ -370,4 +372,6 @@ def test_criterion_10_determinism(tmp_path):
         assert r.exit_code == 0, r.output
         digests.append(hashlib.sha256((out / "events.json").read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+    golden = pathlib.Path(__file__).parent / "golden" / "criterion_10_hashes.json"
+    assert digests[0] == json.loads(golden.read_text())["events.json"]
     report(10, "determinism")

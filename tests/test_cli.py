@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from minkfeat.cli import main
-from minkfeat.scene import SceneError, load_scene, parse_scene, scene_to_dict
+from minkfeat.scene import (MAX_GRID, MAX_SAMPLES, SceneError, load_scene, parse_scene,
+                            scene_to_dict)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -129,6 +130,17 @@ def test_trace_golden_hashes(tmp_path):
     assert got == want
 
 
+def test_analyze_golden_digest(tmp_path):
+    """analysis.json of the criterion-10 scene at grid 65 is byte-equal to
+    the digest recorded before the batched zero-set kernels."""
+    scene = write_scene(tmp_path, SWEEP_SCENE)
+    out = tmp_path / "out"
+    r = CliRunner().invoke(main, ["analyze", scene, "--out", str(out), "--grid", "65"])
+    assert r.exit_code == 0, r.output
+    want = json.loads((GOLDEN / "criterion_10_hashes.json").read_text())["analysis.json"]
+    assert hashlib.sha256((out / "analysis.json").read_bytes()).hexdigest() == want
+
+
 def test_trace_svg_has_colors(tmp_path):
     scene = write_scene(tmp_path, FLAT_UMBILIC_SCENE)
     out = tmp_path / "out"
@@ -174,6 +186,23 @@ def test_sweep_events_and_determinism(tmp_path):
     doc = json.loads(outs[0])
     monitors = {e["monitor"] for e in doc["events"]}
     assert any("LD/MCNC" in m for m in monitors)
+
+
+def test_sweep_json_traces_no_curves(tmp_path, monkeypatch):
+    """Without SVG or CSV frames to write, the sweep traces no curves."""
+    import minkfeat.family
+
+    traced = []
+    real_trace = minkfeat.family.trace
+    monkeypatch.setattr(minkfeat.family, "trace",
+                        lambda *a, **k: traced.append(1) or real_trace(*a, **k))
+    scene = write_scene(tmp_path, SWEEP_SCENE)
+    out = tmp_path / "out"
+    r = CliRunner().invoke(main, ["sweep", scene, "--out", str(out), "--grid", "33",
+                                  "--format", "json"])
+    assert r.exit_code == 0, r.output
+    assert traced == []
+    assert not (out / "frames").exists()
 
 
 def test_sweep_identity_family_zero_events(tmp_path):
@@ -237,3 +266,67 @@ def test_scene_rejects_bad_entries():
         parse_scene({"version": 1,
                      "patch": {"form": "timelike", "degree": 3, "coefficients": []},
                      "grid": 4})
+
+
+def _with(data, key, value):
+    """Deep copy of a scene with the dotted key set to value."""
+    data = json.loads(json.dumps(data))
+    *path, last = key.split(".")
+    node = data
+    for k in path:
+        node = node[k]
+    node[last] = value
+    return data
+
+
+BAD_SCENES = [
+    ("domain", 5),
+    ("domain", {"halfwidth": 0.1, "center": [0]}),
+    ("domain", {"halfwidth": "a"}),
+    ("domain", {"halfwidth": float("inf")}),
+    ("domain", {"halfwidth": float("nan")}),
+    ("domain", {"halfwidth": True}),
+    ("domain", {"xmin": "0", "xmax": 1, "ymin": 0, "ymax": 1}),
+    ("family.range", 3),
+    ("family.range", [float("nan"), 0.003]),
+    ("family.range", [-0.003, float("-inf")]),
+    ("family.range", [False, 0.003]),
+    ("family.samples", MAX_SAMPLES + 1),
+    ("family.samples", 10**7),
+    ("family.samples", True),
+    ("family.perturbation", [[1, 0, [float("nan")]]]),
+    ("output", "svg"),
+    ("output", {"colors": [1, 2]}),
+    ("output", {"formats": "svg"}),
+    ("patch.coefficients", [[2, 2, float("nan")]]),
+    ("patch.coefficients", [[2, 2, float("inf")]]),
+    ("patch.coefficients", [[2, 2, -float("inf")]]),
+    ("patch.coefficients", [[2, 2, True]]),
+    ("patch.coefficients", [[2, 2, 10**400]]),
+    ("patch.coefficients", [[True, 0, 1.0]]),
+    ("patch.degree", True),
+    ("grid", MAX_GRID + 1),
+    ("grid", 10**6),
+    ("grid", True),
+    ("version", True),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_SCENES,
+                         ids=[f"{k}={v!r}"[:40] for k, v in BAD_SCENES])
+def test_scene_schema_violation_exit_2(tmp_path, key, value):
+    """Malformed scenes raise SceneError, and the CLI exits 2 with a
+    message instead of a traceback."""
+    data = _with(SWEEP_SCENE, key, value)
+    with pytest.raises(SceneError):
+        parse_scene(data)
+    scene = write_scene(tmp_path, data)
+    r = CliRunner().invoke(main, ["analyze", scene, "--out", str(tmp_path / "out")])
+    assert r.exit_code == 2, r.output
+    assert "scene error:" in r.output
+
+
+def test_scene_size_limits_inclusive():
+    scene = parse_scene(_with(_with(SWEEP_SCENE, "grid", MAX_GRID),
+                              "family.samples", MAX_SAMPLES))
+    assert scene.grid == MAX_GRID and scene.family.samples == MAX_SAMPLES

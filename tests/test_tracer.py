@@ -1,9 +1,14 @@
 import numpy as np
+import pytest
 
 from minkfeat import MongePatch, feature_fields, fundamental_forms
 from minkfeat.jets import Jet2
 from minkfeat.patch import FeatureField
-from minkfeat.tracer import intersect, trace
+from minkfeat.tracer import _BISECT_ITERS, _NEWTON_ITERS, intersect, trace
+
+
+CRITERION_10 = MongePatch.lightcone(4, [(2, 2, 0.6), (3, 0, 0.8), (3, 1, 0.3),
+                                        (3, 2, -0.2), (3, 3, 0.4)])
 
 
 def field(kind, triples, degree=2):
@@ -101,3 +106,34 @@ def test_intersections_lie_on_both_curves():
         assert max(abs(r) for r in p.residuals) < 1e-10
         assert ta.min_distance_to(p.position) < diag
         assert tb.min_distance_to(p.position) < diag
+
+
+# ------------------------------------------------------------- work counts
+# Field evaluations are deterministic, so these bounds are perf gates that
+# cannot flake: refinement runs batched over all edges or seeds, and the
+# number of Jet2.eval calls does not grow with their count.
+@pytest.fixture
+def eval_calls(monkeypatch):
+    calls = []
+    real_eval = Jet2.eval
+    monkeypatch.setattr(Jet2, "eval", lambda self, x, y: calls.append(1) or real_eval(self, x, y))
+    return calls
+
+
+def test_trace_eval_count_independent_of_edges(eval_calls):
+    f = field("LPL", [(2, 0, 1.0), (2, 2, -1.0)])
+    t = trace(f, ((-1, 1), (-1, 1)), 257)
+    assert len(t.vertices()) > 1000          # one per crossing edge
+    assert len(eval_calls) <= _BISECT_ITERS + 4
+
+
+@pytest.mark.parametrize("n", [65, 257])
+def test_intersect_eval_count_independent_of_seeds(eval_calls, n):
+    """The tangential LPL/PC root of the criterion-10 scene, where every
+    seed cell of a clustered patch polishes toward the same point."""
+    ff = feature_fields(fundamental_forms(CRITERION_10))
+    pts = intersect(ff["LPL"], ff["PC"], ((-0.12, 0.12), (-0.12, 0.12)), n)
+    assert len(pts) == 1 and not pts[0].transversal
+    # grid signs need no call; 2 residuals up front, 4 Jacobian entries and
+    # 2 residuals per Newton step, 4 gradients and 2 residuals at the end
+    assert len(eval_calls) <= 6 * _NEWTON_ITERS + 8
