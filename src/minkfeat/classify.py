@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet2, ift_series, DegenerateIFT
+from .jets import Jet2, compose_graph, ift_series, DegenerateIFT
 from .patch import (
     LIGHTCONE_FORM,
     TIMELIKE_FORM,
@@ -161,17 +161,7 @@ def series_along_graph(fld_jet: Jet2, g: np.ndarray, solve_for: str, order: int)
     ``g`` are the series coefficients g_1.. of the solved variable, as
     returned by ift_series with the same ``solve_for``.
     """
-    from .jets import _univariate
-
-    W = max(fld_jet.degree, order)
-    coeffs = np.concatenate([[0.0], g])
-    if solve_for == "x":
-        gj = _univariate(coeffs, W, var="y")
-        comp = fld_jet.truncated(W).compose(gj, Jet2.variable("y", W))
-        return np.array([comp.coeff(0, k) for k in range(order + 1)])
-    gj = _univariate(coeffs, W, var="x")
-    comp = fld_jet.truncated(W).compose(Jet2.variable("x", W), gj)
-    return np.array([comp.coeff(k, 0) for k in range(order + 1)])
+    return compose_graph(fld_jet, g, solve_for, order)
 
 
 # ----------------------------------------------------------- classify_point

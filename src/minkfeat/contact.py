@@ -4,8 +4,8 @@ The order m(a, b : p) is the vanishing order of the field b along a
 regular local parametrization of {a = 0} at p: transversal crossings
 have order 1, ordinary tangencies order 2.  The primary route solves
 {a = 0} as a power series (implicit function theorem) and reads off the
-first nonvanishing coefficient of b composed with it; a log-log slope
-fit along a traced polyline serves as the numeric fallback.
+first nonvanishing coefficient of b composed with it.  An independent
+numeric estimate along a traced polyline is ``oracle.numeric_contact``.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .classify import series_along_graph
 from .jets import ift_series
 from .patch import FeatureField
 
-__all__ = ["ContactResult", "SingularBaseCurve", "contact_order", "numeric_slope_order"]
+__all__ = ["ContactResult", "SingularBaseCurve", "contact_order"]
 
 #: composed-series coefficients below this (times the coefficient scale)
 #: count as zero
@@ -34,7 +34,7 @@ class ContactResult:
     kinds: tuple
     order: int           # contact order; == cap means ">= cap"
     capped: bool
-    method: str          # jet-series | numeric-slope
+    method: str          # always "jet-series"
 
     def __int__(self):
         return self.order
@@ -59,22 +59,3 @@ def contact_order(a: FeatureField, b: FeatureField, p=(0.0, 0.0), cap: int = 6,
         if abs(comp[k]) > tol * bscale:
             return ContactResult(tuple(p), (a.kind, b.kind), k, False, "jet-series")
     return ContactResult(tuple(p), (a.kind, b.kind), cap, True, "jet-series")
-
-
-def numeric_slope_order(points: np.ndarray, b: FeatureField, p,
-                        d_lo: float = 1e-4, d_hi: float = 1e-2) -> ContactResult:
-    """Slope of log|b| against log(distance to p) along sampled points of
-    the base curve; rounded to the nearest integer.  Points closer to the
-    floating-point noise floor of |b| than 50x are discarded."""
-    pts = np.asarray(points, float)
-    d = np.hypot(pts[:, 0] - p[0], pts[:, 1] - p[1])
-    keep = (d >= d_lo) & (d <= d_hi)
-    pts, d = pts[keep], d[keep]
-    vals = np.abs(np.asarray(b(pts[:, 0], pts[:, 1]), float))
-    noise = 50 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(b.jet.c))))
-    ok = vals > noise
-    if np.count_nonzero(ok) < 8:
-        raise ValueError("insufficient clean samples for a slope fit")
-    slope = np.polyfit(np.log(d[ok]), np.log(vals[ok]), 1)[0]
-    return ContactResult(tuple(p), ("traced", b.kind), int(round(slope)), False,
-                         "numeric-slope")

@@ -12,6 +12,8 @@ computed on first use and cached.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -33,6 +35,15 @@ class DegenerateIFT(ValueError):
     """The partial derivative needed by the implicit series vanishes at 0."""
 
 
+@lru_cache(maxsize=None)
+def _above_degree(degree: int) -> np.ndarray:
+    """Read-only mask of the entries p + q > degree of a Jet2 coefficient grid."""
+    p, q = np.indices((degree + 1, degree + 1))
+    mask = p + q > degree
+    mask.setflags(write=False)
+    return mask
+
+
 class Jet2:
     """Degree-k truncated polynomial in two variables."""
 
@@ -43,15 +54,11 @@ class Jet2:
             raise ValueError("degree must be >= 0")
         self.degree = int(degree)
         n = self.degree + 1
-        if c is None:
-            arr = np.zeros((n, n))
-        else:
-            arr = np.zeros((n, n))
+        arr = np.zeros((n, n))
+        if c is not None:
             m = min(n, c.shape[0]), min(n, c.shape[1])
             arr[: m[0], : m[1]] = np.asarray(c, dtype=float)[: m[0], : m[1]]
-        # zero out anything above the truncation degree
-        p, q = np.indices(arr.shape)
-        arr[p + q > self.degree] = 0.0
+        arr[_above_degree(self.degree)] = 0.0
         arr.setflags(write=False)
         self.c = arr
 
@@ -291,15 +298,57 @@ class Jet2:
 
 
 # ---------------------------------------------------------------- series ops
-def _univariate(coeffs, degree, var="y"):
-    """Jet2 from ascending univariate coefficients in the given variable."""
-    j = np.zeros((degree + 1, degree + 1))
-    for k, v in enumerate(coeffs[: degree + 1]):
-        if var == "y":
-            j[0, k] = v
-        else:
-            j[k, 0] = v
-    return Jet2(degree, j)
+def _series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of two 1-D series of equal length.
+
+    Jet2.__mul__ on one row or column: the operand with fewer nonzeros
+    goes outer (a tie keeps ``a``), and its terms are accumulated in
+    ascending order, so the product is bit-identical to the 2-D one.
+    """
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    n = b.size
+    out = np.zeros(n)
+    for j in a.nonzero()[0]:
+        out[j:] += a[j] * b[: n - j]
+    return out
+
+
+def compose_graph(F: Jet2, g, solve_for: str, order: int) -> np.ndarray:
+    """Coefficients 0..order of F along a graph through the origin.
+
+    With solve_for='x' the series of F(g(t), t), with solve_for='y' that
+    of F(t, g(t)), where g(t) = g[0] t + g[1] t^2 + ... (the coefficients
+    returned by ift_series).  Both are one-variable series, so this runs
+    Jet2.compose's Horner scheme over the rows of F on 1-D arrays of the
+    work degree W = max(F.degree, order).  The arrays are never cut below
+    W, because their nonzero counts fix the order of every sum: each
+    coefficient is then bit-identical to composing F with the graph as a
+    row-0 or column-0 Jet2.
+    """
+    if solve_for not in ("x", "y"):
+        raise ValueError("solve_for must be 'x' or 'y'")
+    W = max(F.degree, order)
+    one, t, graph = np.zeros((3, W + 1))
+    one[0] = 1.0
+    t[1:2] = 1.0  # the parameter t itself (nothing to set when W = 0)
+    m = min(len(g), W)
+    graph[1 : m + 1] = np.asarray(g, dtype=float)[:m]
+    u, v = (graph, t) if solve_for == "x" else (t, graph)
+    vpow = [one]
+    for _ in range(F.degree):
+        vpow.append(_series_mul(vpow[-1], v))
+    out = np.zeros(W + 1)
+    upow = one
+    for p in range(F.degree + 1):
+        nz = F.c[p].nonzero()[0]
+        if nz.size:
+            row = np.zeros(W + 1)
+            for q in nz:
+                row += vpow[q] * F.c[p, q]
+            out += _series_mul(upow, row)
+        upow = _series_mul(upow, u)
+    return out[: order + 1]
 
 
 def ift_series(F: Jet2, solve_for: str, order: int, tol: float = 1e-12) -> np.ndarray:
@@ -318,35 +367,10 @@ def ift_series(F: Jet2, solve_for: str, order: int, tol: float = 1e-12) -> np.nd
     if abs(lead) <= tol * scale:
         raise DegenerateIFT("required partial derivative vanishes at the origin")
 
-    work_deg = max(F.degree, order)
-    F = F.truncated(work_deg)
-    param = "y" if solve_for == "x" else "x"
-    g = np.zeros(order + 1)  # g[k] multiplies param^k, g[0] = 0
+    g = np.zeros(order)  # g[k - 1] multiplies param^k
     for k in range(1, order + 1):
-        gj = _univariate(g, work_deg, var=param)
-        if solve_for == "x":
-            resid = F.compose(gj, Jet2.variable("y", work_deg))
-            rk = resid.coeff(0, k)
-        else:
-            resid = F.compose(Jet2.variable("x", work_deg), gj)
-            rk = resid.coeff(k, 0)
-        g[k] = -rk / lead
-    return g[1:]
-
-
-def ift_residual(F: Jet2, solve_for: str, g: np.ndarray) -> np.ndarray:
-    """Residual series coefficients of F(g, param) through order len(g)."""
-    order = len(g)
-    work_deg = max(F.degree, order)
-    F = F.truncated(work_deg)
-    coeffs = np.concatenate([[0.0], g])
-    param = "y" if solve_for == "x" else "x"
-    gj = _univariate(coeffs, work_deg, var=param)
-    if solve_for == "x":
-        resid = F.compose(gj, Jet2.variable("y", work_deg))
-        return np.array([resid.coeff(0, k) for k in range(order + 1)])
-    resid = F.compose(Jet2.variable("x", work_deg), gj)
-    return np.array([resid.coeff(k, 0) for k in range(order + 1)])
+        g[k - 1] = -compose_graph(F, g, solve_for, order)[k] / lead
+    return g
 
 
 def invert_map(u: Jet2, v: Jet2) -> tuple[Jet2, Jet2]:

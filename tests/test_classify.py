@@ -319,6 +319,18 @@ def test_scenario_lpl_non_morse():
     assert r.singularities["LPL"] == "A3_minus"
 
 
+def test_classify_singularity_work_count(jet_work):
+    """The A3 shear reduction composes along the critical graph in one
+    variable: no 2-D composition, and only the recentred jet and the
+    eliminated partial are built (the 2-D route made 4 compositions and
+    2 703 jets)."""
+    p = non_morse_umbilic_patch(np.random.default_rng(13))
+    r, work = jet_work(classify_singularity, feature_fields(fundamental_forms(p))["LPL"])
+    assert r.label == "A3_minus"
+    assert work["compose"] == 0
+    assert work["new"] <= 4
+
+
 def test_scenario_mcnc_morse_sing():
     rng = np.random.default_rng(14)
     p = mcnc_singular_patch(rng)

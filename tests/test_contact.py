@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from minkfeat import feature_fields, fundamental_forms
-from minkfeat.contact import SingularBaseCurve, contact_order, numeric_slope_order
+from minkfeat.contact import SingularBaseCurve, contact_order
 from minkfeat.jets import Jet2
+from minkfeat.oracle import numeric_contact
 from minkfeat.patch import FeatureField
 
 from helpers import ld_lpl_patch, lpl_mcnc_point_patch
@@ -106,8 +107,20 @@ def test_generic_ld_pc_transversal():
         assert order == 1
 
 
+def test_contact_order_work_count(jet_work):
+    """Composing along the IFT graph is univariate: contact_order(cap=8)
+    makes no 2-D composition and only the two recentred jets (the 2-D
+    route made 10 compositions and 6 734 jets here)."""
+    p = lpl_mcnc_point_patch(np.random.default_rng(1), degenerate=True)
+    ff = feature_fields(fundamental_forms(p))
+    r, work = jet_work(contact_order, ff["LPL"], ff["PC"], cap=8)
+    assert r.order == 4
+    assert work["compose"] == 0
+    assert work["new"] <= 4
+
+
 def test_numeric_slope_fallback_agrees():
-    """The polyline slope route reports the same order as the series
+    """The oracle's polyline slope reports the same order as the series
     route on a traced base curve."""
     rng = np.random.default_rng(5)
     for order in (1, 2, 3):
@@ -116,9 +129,7 @@ def test_numeric_slope_fallback_agrees():
         b = field("LPL", [(1, 1, 1.0), (order, 0, c)] if order > 1 else [(1, 0, c)])
         xs = np.linspace(-0.02, 0.02, 4001)
         poly = np.column_stack([xs, np.zeros_like(xs)])
-        r = numeric_slope_order(poly, b, (0.0, 0.0))
-        assert r.method == "numeric-slope"
-        assert r.order == contact_order(a, b).order == order
+        assert numeric_contact(poly, b, (0.0, 0.0)) == contact_order(a, b).order == order
 
 
 def test_contact_symmetry():

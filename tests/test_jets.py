@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from minkfeat.classify import series_along_graph
 from minkfeat.jets import (
     Jet2,
     NonzeroConstantTerm,
     DegenerateIFT,
     ift_series,
-    ift_residual,
     invert_map,
     resultant_quartic_cubic,
     sylvester_resultant_quartic_cubic,
@@ -206,8 +207,75 @@ def test_ift_residual_property():
         c[1, 0] = rng.uniform(0.8, 1.2) * rng.choice([-1.0, 1.0])
         F = Jet2(4, c)
         g = ift_series(F, "x", 6)
-        resid = ift_residual(F, "x", g)
+        resid = series_along_graph(F, g, "x", 6)
         assert np.max(np.abs(resid)) < 1e-12
+
+
+# ------------------------------------------- graph series against 2-D compose
+def graph_route(F, g, solve_for, order):
+    """Coefficients 0..order of F along the graph of g, through the 2-D
+    route: Jet2.compose with the graph as a row-0 (solve_for='x') or
+    column-0 (solve_for='y') jet, at work degree max(F.degree, order)."""
+    W = max(F.degree, order)
+    line = np.zeros(W + 1)
+    m = min(len(g), W)
+    line[1 : m + 1] = g[:m]
+    Fw = F.truncated(W)
+    if solve_for == "x":
+        y = Jet2(W, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        return Fw.compose(Jet2(W, line[None, :]), y).c[0, : order + 1]
+    x = Jet2(W, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    return Fw.compose(x, Jet2(W, line[:, None])).c[: order + 1, 0]
+
+
+def ift_route(F, solve_for, order):
+    """ift_series' coefficient recursion over graph_route."""
+    lead = F.coeff(1, 0) if solve_for == "x" else F.coeff(0, 1)
+    g = np.zeros(order)
+    for k in range(1, order + 1):
+        g[k - 1] = -graph_route(F, g, solve_for, order)[k] / lead
+    return g
+
+
+@st.composite
+def sparse(draw, n):
+    """n coefficients, a drawn share of them +0.0 or -0.0.  Sparse patterns
+    make the operands of the series products tie in their nonzero counts;
+    the values are normal draws, since on the small integers hypothesis
+    favours a reordered sum would round the same."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    scale = draw(st.sampled_from([1e-310, 1e-3, 1.0, 1e3]))  # 1e-310: subnormal
+    vals = rng.normal(size=n) * scale
+    return np.where(rng.random(n) < density, vals, rng.choice([0.0, -0.0], size=n))
+
+
+@st.composite
+def field_jets(draw):
+    degree = draw(st.integers(min_value=0, max_value=16))
+    n = degree + 1
+    return Jet2(degree, draw(sparse(n * n)).reshape(n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_jets(), st.integers(0, 16).flatmap(sparse), st.sampled_from("xy"),
+       st.integers(0, 16))
+def test_series_along_graph_matches_2d_compose_bitwise(F, g, solve_for, order):
+    got = series_along_graph(F, g, solve_for, order)
+    assert got.tobytes() == graph_route(F, g, solve_for, order).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_jets(), st.sampled_from("xy"), st.integers(0, 16),
+       st.floats(0.5, 4.0), st.sampled_from([1.0, -1.0]))
+def test_ift_series_matches_2d_compose_bitwise(F, solve_for, order, lead, sign):
+    if F.degree == 0:
+        F = F.truncated(1)
+    c = F.c.copy()
+    c[0, 0] = 0.0
+    c[(1, 0) if solve_for == "x" else (0, 1)] = sign * lead
+    F = Jet2(F.degree, c)
+    assert ift_series(F, solve_for, order).tobytes() == ift_route(F, solve_for, order).tobytes()
 
 
 # ------------------------------------------------------------------- recenter
