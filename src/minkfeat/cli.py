@@ -1,7 +1,8 @@
 """Command-line front end: scene files in, reports and plots out.
 
-Exit codes: 0 success, 2 scene schema violation, 3 ambiguous scenario
-(the report is still written), 4 sweep event bracket failure.
+Exit codes: 0 success, 2 scene schema violation, an identically zero
+field to trace or an option out of range, 3 ambiguous scenario (the
+report is still written), 4 sweep event bracket failure.
 """
 from __future__ import annotations
 
@@ -28,9 +29,11 @@ from .family import (
     umbilic_points,
 )
 from .patch import FIELD_KINDS, feature_fields, fundamental_forms
-from .scene import SceneError, load_scene
+from .scene import MAX_GRID, SceneError, load_scene
 from .tracer import intersect, trace
 
+#: the scene schema's bounds on ``grid``, for the ``--grid`` override
+_GRID = click.IntRange(16, MAX_GRID)
 PAIRS = [("LD", "LPL"), ("LD", "PC"), ("LD", "MCNC"),
          ("LPL", "PC"), ("LPL", "MCNC"), ("PC", "MCNC")]
 
@@ -56,7 +59,7 @@ def main():
 @click.argument("scene_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".",
               help="output directory")
-@click.option("--grid", "grid", type=int, default=None, help="override grid size")
+@click.option("--grid", "grid", type=_GRID, default=None, help="override grid size")
 def analyze(scene_path, out_dir, grid):
     """Classify the scene's base point and report scenario, invariants
     and contact orders at every pairwise curve intersection."""
@@ -102,7 +105,7 @@ def analyze(scene_path, out_dir, grid):
 @main.command("trace")
 @click.argument("scene_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".")
-@click.option("--grid", "grid", type=int, default=None)
+@click.option("--grid", "grid", type=_GRID, default=None)
 @click.option("--format", "formats", multiple=True,
               type=click.Choice(["csv", "svg", "json"]))
 def trace_cmd(scene_path, out_dir, grid, formats):
@@ -113,7 +116,11 @@ def trace_cmd(scene_path, out_dir, grid, formats):
     n = grid or scene.grid
     fmts = formats or scene.formats
     ff = feature_fields(fundamental_forms(scene.patch))
-    curves = [trace(ff[k], scene.domain, n) for k in FIELD_KINDS]
+    try:
+        curves = [trace(ff[k], scene.domain, n) for k in FIELD_KINDS]
+    except ValueError as e:  # an identically zero field
+        click.echo(f"scene error: {e}", err=True)
+        sys.exit(2)
     if "csv" in fmts:
         (out / "curves.csv").write_text(curves_to_csv(curves), encoding="utf-8")
     if "svg" in fmts:
@@ -139,10 +146,10 @@ def trace_cmd(scene_path, out_dir, grid, formats):
 @main.command("sweep")
 @click.argument("scene_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".")
-@click.option("--grid", "grid", type=int, default=None)
+@click.option("--grid", "grid", type=_GRID, default=None)
 @click.option("--format", "formats", multiple=True,
               type=click.Choice(["csv", "svg", "json"]))
-@click.option("--resolution", type=float, default=1e-4,
+@click.option("--resolution", type=click.FloatRange(0, min_open=True), default=1e-4,
               help="event localization width relative to the sweep range")
 def sweep_cmd(scene_path, out_dir, grid, formats, resolution):
     """Sweep the scene's family, writing per-t frames and an event list."""
@@ -163,6 +170,9 @@ def sweep_cmd(scene_path, out_dir, grid, formats, resolution):
     except EventBracketError as e:
         click.echo(f"sweep error: {e}", err=True)
         sys.exit(4)
+    except ValueError as e:  # an identically zero field in a frame, a NaN or inf resolution
+        click.echo(f"scene error: {e}", err=True)
+        sys.exit(2)
 
     events = [e.to_jsonable() for e in result.events]
     _dump_json({"events": events, "snapshots": result.snapshots},

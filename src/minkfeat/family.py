@@ -16,7 +16,7 @@ import numpy as np
 
 from .jets import Jet2, ift_series
 from .patch import MongePatch, feature_fields, fundamental_forms, bde_jets
-from .tracer import Rect, trace, intersect
+from .tracer import Rect, trace, intersect, _lstsq_rows, _merge_points, _newton_rows, _solve_rows
 from .classify import series_along_graph
 
 __all__ = [
@@ -201,7 +201,10 @@ def sweep(spec: FamilySpec, monitors, domain=((-0.1, 0.1), (-0.1, 0.1)),
     resolution is relative to the sweep width; a change between
     consecutive samples is bisected until the bracket is narrower than
     resolution * width and still shows the same before/after values,
-    otherwise EventBracketError."""
+    otherwise EventBracketError.  Halving also stops at a bracket of
+    adjacent floats."""
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be a finite number > 0, got {resolution!r}")
     ts = spec.ts()
     width = abs(spec.t_range[1] - spec.t_range[0])
     snapshots = []
@@ -229,6 +232,8 @@ def sweep(spec: FamilySpec, monitors, domain=((-0.1, 0.1), (-0.1, 0.1)),
             lo, vlo, hi, vhi = work.pop()
             while hi - lo > resolution * width:
                 mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
                 vm = mon.measure(spec.patch_at(mid), domain, n)
                 if vm == vlo:
                     lo = mid
@@ -253,40 +258,25 @@ def sweep(spec: FamilySpec, monitors, domain=((-0.1, 0.1), (-0.1, 0.1)),
 # ----------------------------------------------------------------- umbilics
 def umbilic_points(patch: MongePatch, domain=((-0.1, 0.1), (-0.1, 0.1)),
                    seeds: int = 33, tol: float = 1e-9) -> np.ndarray:
-    """Zeros of all three curvature-line coefficients, via Gauss-Newton
-    on the minor system from a seed grid."""
+    """Zeros of all three curvature-line coefficients: Gauss-Newton on the
+    minor system from all local minima of their squared sum on a seed grid
+    at once.  A polished point is kept, converged or not, when its residual
+    is below tolerance and it lies over 1e-6 from the points kept before."""
     rect = Rect.make(domain)
-    A, B, C = bde_jets(fundamental_forms(patch))
-    jets = (A, B, C)
-    grads = [(j.diff("x"), j.diff("y")) for j in jets]
+    jets = bde_jets(fundamental_forms(patch))
     xs = np.linspace(rect.xmin, rect.xmax, seeds)
     ys = np.linspace(rect.ymin, rect.ymax, seeds)
     R = sum(np.asarray(j.eval_grid(xs, ys), float) ** 2 for j in jets)
     # seeds: local minima of the residual
     pad = np.pad(R, 1, constant_values=np.inf)
-    ismin = np.ones_like(R, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di or dj:
-                ismin &= R <= pad[1 + di : 1 + di + seeds, 1 + dj : 1 + dj + seeds]
-    found = []
-    scale = max(1.0, max(float(np.max(np.abs(j.c))) for j in jets))
-    for i, j in np.argwhere(ismin):
-        p = np.array([xs[i], ys[j]])
-        for _ in range(60):
-            r = np.array([float(jj.eval(p[0], p[1])) for jj in jets])
-            J = np.array([[float(gx.eval(p[0], p[1])), float(gy.eval(p[0], p[1]))]
-                          for gx, gy in grads])
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            p = p + step
-            if np.linalg.norm(step) < 1e-15:
-                break
-        r = np.array([float(jj.eval(p[0], p[1])) for jj in jets])
-        if np.max(np.abs(r)) < tol * scale and rect.contains(p, pad=1e-12):
-            if not any(np.hypot(*(p - q)) < 1e-6 for q in found):
-                found.append(p)
-    found.sort(key=lambda q: (q[0], q[1]))
-    return np.array(found) if found else np.zeros((0, 2))
+    i, j = np.nonzero(R <= np.lib.stride_tricks.sliding_window_view(pad, (3, 3)).min(axis=(2, 3)))
+    P, R, _ = _newton_rows(jets, [(jj.diff("x"), jj.diff("y")) for jj in jets],
+                           np.column_stack([xs[i], ys[j]]), _lstsq_rows,
+                           lambda size, r0, r1: size < 1e-15)
+    scale = max(1.0, max(float(np.max(np.abs(jj.c))) for jj in jets))
+    found = _merge_points([p for p, r in zip(P, R)
+                           if np.abs(r).max() < tol * scale and rect.contains(p, pad=1e-12)], 1e-6)
+    return found[np.lexsort((found[:, 1], found[:, 0]))]
 
 
 def umbilic_tracker(spec: FamilySpec, domain=((-0.1, 0.1), (-0.1, 0.1)),
@@ -396,6 +386,14 @@ def swallowtail_stratum(u: float, v: float, w: float,
 
 
 # --------------------------------------------------------- A3 versal fitting
+def _anchor_step(J, rhs):
+    """``_solve_rows``, raising like the division -v/dv at a zero derivative."""
+    step = _solve_rows(J, rhs)
+    if not np.isfinite(step).all():
+        raise ZeroDivisionError("d2(dtil)/dx2 vanishes on the Newton path")
+    return step
+
+
 def _reduced_psi(patch: MongePatch, order: int = 5) -> np.ndarray:
     """1-variable germ of the discriminant field after eliminating the
     square direction along x (coefficients 0..order in y).
@@ -406,15 +404,11 @@ def _reduced_psi(patch: MongePatch, order: int = 5) -> np.ndarray:
     ff = feature_fields(fundamental_forms(patch))
     dtil = ff["LPL"].jet
     ddx = dtil.diff("x")
-    # critical curve x = xi(y): d(dtil)/dx = 0 solved around its own root in x
-    x0 = 0.0
-    for _ in range(60):  # Newton in x at y=0 to anchor the critical curve
-        v = float(ddx.eval(x0, 0.0))
-        dv = float(ddx.diff("x").eval(x0, 0.0))
-        step = -v / dv
-        x0 += step
-        if abs(step) < 1e-15:
-            break
+    # critical curve x = xi(y) through the Newton root of (d(dtil)/dx, y) near 0
+    y = Jet2.variable("y", 1)
+    P, _, _ = _newton_rows((ddx, y), [(g.diff("x"), g.diff("y")) for g in (ddx, y)],
+                           np.zeros((1, 2)), _anchor_step, lambda size, r0, r1: size < 1e-15)
+    x0 = float(P[0, 0])
     shifted = ddx.recenter(x0, 0.0)
     xi = ift_series(shifted, "x", order - 1)
     psi = series_along_graph(dtil.recenter(x0, 0.0), xi, "x", order)

@@ -153,10 +153,6 @@ class FeatureField:
     def gradient_at(self, x: float, y: float) -> np.ndarray:
         return self.jet.gradient_at(x, y)
 
-    def at(self, p) -> "FeatureField":
-        """The same field recentred so that p becomes the origin."""
-        return FeatureField(self.kind, self.jet.recenter(p[0], p[1]))
-
 
 def fundamental_forms(patch: MongePatch, cross_sign: float = 1.0) -> FormBundle:
     """First fundamental form and cross-scaled second form of the patch.

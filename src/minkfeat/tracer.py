@@ -7,12 +7,12 @@ sitting exactly at level 0) are found separately from grid minima of the
 absolute field, since sign-based cells never see them.
 
 Field evaluation is batched: the grid is sampled with ``Jet2.eval_grid``,
-all crossing edges are bisected together, and all Newton seeds of
-``intersect`` (all Gauss-Newton candidates of the isolated-zero search)
-step together, each row keeping its own stop rule.  Every row does the
-arithmetic of a scalar loop, so results are bit-identical to one; the
-number of field evaluations grows with the iteration count, not with the
-number of edges or seeds.
+all crossing edges are bisected together, and one Newton kernel polishes
+all seeds of a root search at once (``intersect``, the isolated-zero
+search, and ``family``'s umbilics and A3 anchor), each row keeping its
+own stop rule.  Every row does the arithmetic of a scalar loop, so
+results are bit-identical to one; the number of field evaluations grows
+with the iteration count, not with the number of edges or seeds.
 """
 from __future__ import annotations
 
@@ -136,9 +136,12 @@ def _bisect_edges(jet, a, b, s0):
 
 
 def trace(fld: FeatureField, domain=DEFAULT_DOMAIN, n: int = DEFAULT_GRID) -> TracedCurve:
-    """Marching-squares extraction of {field = 0} on the domain."""
+    """Marching-squares extraction of {field = 0} on the domain; a field
+    that vanishes identically raises ValueError."""
     if n < 16:
         raise ValueError("grid size must be at least 16")
+    if not fld.jet.c.any():
+        raise ValueError(f"{fld.kind} field is identically zero: its zero set is the window")
     rect = Rect.make(domain)
     xs = np.linspace(rect.xmin, rect.xmax, n)
     ys = np.linspace(rect.ymin, rect.ymax, n)
@@ -238,11 +241,7 @@ def trace(fld: FeatureField, domain=DEFAULT_DOMAIN, n: int = DEFAULT_GRID) -> Tr
     isolated, extra_lines, extra_res = _signless_zeros(fld, V, xs, ys, hcross, vcross)
     out_lines += extra_lines
     out_res += extra_res
-    iso_list = [p for p in isolated]
-    for p in point_like:
-        if not any(np.hypot(*(p - q)) < 2 * cell for q in iso_list):
-            iso_list.append(p)
-    isolated = np.array(iso_list) if iso_list else np.zeros((0, 2))
+    isolated = _merge_points(point_like, 2 * cell, kept=isolated)
     return TracedCurve(fld.kind, out_lines, out_res, isolated, rect, n)
 
 
@@ -268,36 +267,19 @@ def _signless_zeros(fld, V, xs, ys, hcross, vcross):
     ii, jj = ii[away], jj[away]
     jet = fld.jet
     fx, fy = jet.diff("x"), jet.diff("y")
-    second = (fx.diff("x"), fx.diff("y"), fy.diff("y"))
+    fxx, fxy, fyy = fx.diff("x"), fx.diff("y"), fy.diff("y")
     P = np.column_stack([xs[ii], ys[jj]])
     # plausibility: a zero extremum has |f| = O(||H|| d^2) within a cell
-    Hn = np.maximum(1.0, np.abs([_at(d, P) for d in second]).max(axis=0))
+    Hn = np.maximum(1.0, np.abs([_at(d, P) for d in (fxx, fxy, fyy)]).max(axis=0))
     P = P[~(A[ii, jj] > 4.0 * Hn * cell_scale**2)]
-    ok = np.zeros(len(P), dtype=bool)
-    live = np.arange(len(P))
-    for _ in range(_NEWTON_ITERS):
-        if not live.size:
-            break
-        g = np.column_stack([_at(fx, P[live]), _at(fy, P[live])])
-        hxx, hxy, hyy = (_at(d, P[live]) for d in second)
-        done = np.zeros(live.size, dtype=bool)
-        for k, row in enumerate(live):
-            H = np.array([[hxx[k], hxy[k]], [hxy[k], hyy[k]]])
-            step = np.linalg.lstsq(H, -g[k], rcond=None)[0]
-            P[row] = P[row] + step
-            if np.linalg.norm(step) < 1e-14:
-                ok[row] = done[k] = True
-        live = live[~done]
+    P, _, ok = _newton_rows((fx, fy), ((fxx, fxy), (fxy, fyy)), P, _lstsq_rows,
+                            lambda size, r0, r1: size < 1e-14)
     P = P[ok]
-    found = []
-    for p in P[np.abs(_at(jet, P)) < REFINE_TOL]:
-        if not any(np.hypot(*(p - q)) < 0.5 * cell_scale for q in found):
-            found.append(p)
-    if not found:
-        return np.zeros((0, 2)), [], []
+    pts = _merge_points(P[np.abs(_at(jet, P)) < REFINE_TOL], 0.5 * cell_scale)
+    if not len(pts):
+        return pts, [], []
 
     # chain points within two cells into polylines, keep singletons isolated
-    pts = np.array(found)
     m = len(pts)
     link = 2.2 * cell_scale
     parent = list(range(m))
@@ -361,33 +343,18 @@ def intersect(a: FeatureField, b: FeatureField, domain=DEFAULT_DOMAIN,
     seeds = np.argwhere(cell_changes(Sa) & cell_changes(Sb))
     si, sj = seeds[:, 0], seeds[:, 1]
     P = np.column_stack([0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1])])
-    jac = (a.jet.diff("x"), a.jet.diff("y"), b.jet.diff("x"), b.jet.diff("y"))
-    R = np.column_stack([_at(a.jet, P), _at(b.jet, P)])
-    converged = np.zeros(len(P), dtype=bool)
-    live = np.arange(len(P))
-    max_step = 4 * rect.diag
-    for _ in range(_NEWTON_ITERS):
-        if not live.size:
-            break
-        J = np.stack([_at(d, P[live]) for d in jac], axis=1).reshape(-1, 2, 2)
-        steps = _solve_rows(J, -R[live])
-        # np.linalg.norm per row: its BLAS dot rounds unlike a vectorised sum
-        size = np.array([np.linalg.norm(step) for step in steps])
-        check = (size < 1e-15) | (np.abs(R[live]) < REFINE_TOL).all(axis=1)
-        # a singular Jacobian (NaN step), or a step leaving a sane
-        # neighbourhood of the seed cell, ends the row unconverged
-        keep = size <= max_step
-        live, check = live[keep], check[keep]
-        P[live] = P[live] + steps[keep]
-        R[live] = np.column_stack([_at(a.jet, P[live]), _at(b.jet, P[live])])
-        done = check & (np.abs(R[live]).max(axis=1, initial=0.0) < REFINE_TOL)
-        converged[live[done]] = True
-        live = live[~done]
+    jac = ((a.jet.diff("x"), a.jet.diff("y")), (b.jet.diff("x"), b.jet.diff("y")))
+    # stop at a short step or a small start residual, if the new one is small
+    P, _, converged = _newton_rows(
+        (a.jet, b.jet), jac, P, _solve_rows,
+        lambda size, r0, r1: (((size < 1e-15) | (np.abs(r0) < REFINE_TOL).all(axis=1))
+                              & (np.abs(r1).max(axis=1, initial=0.0) < REFINE_TOL)),
+        max_step=4 * rect.diag)
     for i, j in seeds[~converged]:
         log.debug("intersect: Newton did not converge from cell (%d,%d)", i, j)
     found = P[converged]
     found = found[np.array([rect.contains(p, pad=rect.diag * 1e-9) for p in found], dtype=bool)]
-    grads = [_at(d, found) for d in jac]
+    grads = [_at(d, found) for row in jac for d in row]
 
     def point_data(k):
         ga = np.array([grads[0][k], grads[1][k]])
@@ -436,6 +403,51 @@ def _at(jet, pts) -> np.ndarray:
     if not len(pts):
         return np.zeros(0)
     return np.asarray(jet.eval(pts[:, 0], pts[:, 1]), float)
+
+
+def _newton_rows(F, J, P, solve, done, max_step=np.inf):
+    """Newton (Gauss-Newton for more than two residuals) on every row of P.
+
+    F holds the residual jets, J[i][j] the jet of dF[i]/dx_j (passed in:
+    jets equal in exact arithmetic may round apart).  ``solve(J, rhs)``
+    solves the live rows' systems; ``done(size, r_before, r_after)`` marks
+    the rows that stop converged after their step.  A NaN step, or one
+    longer than max_step, stops its row unconverged without being taken.
+    Returns the points, the residuals at them and the converged mask."""
+    P = np.array(P, dtype=float)
+    R = np.column_stack([_at(f, P) for f in F])
+    converged = np.zeros(len(P), dtype=bool)
+    live = np.arange(len(P))
+    for _ in range(_NEWTON_ITERS):
+        if not live.size:
+            break
+        Jm = np.stack([_at(d, P[live]) for row in J for d in row], axis=1).reshape(-1, len(F), 2)
+        steps = solve(Jm, -R[live])
+        # np.linalg.norm per row: its BLAS dot rounds unlike a vectorised sum
+        size = np.array([np.linalg.norm(step) for step in steps])
+        keep = size <= max_step
+        live, size, before = live[keep], size[keep], R[live[keep]]
+        P[live] = P[live] + steps[keep]
+        R[live] = np.column_stack([_at(f, P[live]) for f in F])
+        stop = done(size, before, R[live])
+        converged[live[stop]] = True
+        live = live[~stop]
+    return P, R, converged
+
+
+def _lstsq_rows(J, rhs) -> np.ndarray:
+    """``np.linalg.lstsq`` of each system, one row at a time."""
+    return np.array([np.linalg.lstsq(Jk, bk, rcond=None)[0] for Jk, bk in zip(J, rhs)])
+
+
+def _merge_points(points, r, kept=()) -> np.ndarray:
+    """Greedy merge: each point, in order, is kept unless it lies within r
+    of one kept before it (``kept`` seeds that list)."""
+    kept = list(kept)
+    for p in points:
+        if not any(np.hypot(*(p - q)) < r for q in kept):
+            kept.append(p)
+    return np.array(kept).reshape(-1, 2)
 
 
 def _solve_rows(J, rhs) -> np.ndarray:

@@ -10,13 +10,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 @pytest.fixture
 def jet_work(monkeypatch):
     """``jet_work(fn, *args)`` runs fn and returns its result with the
-    number of Jet2 constructions ("new") and Jet2.compose calls
-    ("compose") it made: work counts that repeat exactly, so a test can
-    bound them without timing anything."""
+    number of Jet2 constructions ("new"), Jet2.compose calls ("compose")
+    and Jet2.eval calls ("eval") it made: work counts that repeat
+    exactly, so a test can bound them without timing anything."""
     from minkfeat.jets import Jet2
 
     counts = Counter()
-    for attr, key in (("__init__", "new"), ("compose", "compose")):
+    keys = {"__init__": "new", "compose": "compose", "eval": "eval"}
+    for attr, key in keys.items():
         orig = getattr(Jet2, attr)
 
         def counted(*args, _orig=orig, _key=key, **kwargs):
@@ -28,6 +29,6 @@ def jet_work(monkeypatch):
     def run(fn, *args, **kwargs):
         counts.clear()
         out = fn(*args, **kwargs)
-        return out, {"new": counts["new"], "compose": counts["compose"]}
+        return out, {key: counts[key] for key in keys.values()}
 
     return run

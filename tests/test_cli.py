@@ -232,6 +232,44 @@ def test_sweep_reversed_direction_same_events(tmp_path):
     assert ev[0] == ev[1]
 
 
+SQUARED_LINE_SCENE = {
+    "version": 1,
+    "patch": {"form": "lightcone", "degree": 2, "coefficients": [[2, 2, 1.0]]},
+    "domain": {"halfwidth": 0.25},
+    "family": {"perturbation": [[2, 0, [1.0]]], "range": [-0.01, 0.01], "samples": 3},
+}
+
+
+@pytest.mark.parametrize("command,extra", [("trace", []), ("sweep", ["--format", "svg"])])
+def test_identically_zero_field_exit_2(tmp_path, command, extra):
+    """LPL, PC and MCNC of f = x + y^2 vanish identically: tracing them
+    (the trace command, sweep frames at t = 0) is a scene error."""
+    scene = write_scene(tmp_path, SQUARED_LINE_SCENE)
+    r = CliRunner().invoke(main, [command, scene, "--out", str(tmp_path / "out"),
+                                  "--grid", "17", *extra])
+    assert r.exit_code == 2, r.output
+    assert "scene error" in r.output and "LPL field is identically zero" in r.output
+
+
+@pytest.mark.parametrize("command", ["analyze", "trace", "sweep"])
+@pytest.mark.parametrize("grid", [0, 5, MAX_GRID + 1])
+def test_grid_option_out_of_range_exit_2(tmp_path, command, grid):
+    scene = write_scene(tmp_path, SWEEP_SCENE)
+    r = CliRunner().invoke(main, [command, scene, "--out", str(tmp_path / "out"),
+                                  "--grid", str(grid)])
+    assert r.exit_code == 2
+    assert "--grid" in r.output
+
+
+@pytest.mark.parametrize("resolution", ["0", "-1e-4", "nan", "inf"])
+def test_sweep_resolution_not_positive_finite_exit_2(tmp_path, resolution):
+    scene = write_scene(tmp_path, SWEEP_SCENE)
+    r = CliRunner().invoke(main, ["sweep", scene, "--out", str(tmp_path / "out"),
+                                  "--resolution", resolution])
+    assert r.exit_code == 2
+    assert "resolution" in r.output
+
+
 def test_strata_command():
     r = CliRunner().invoke(main, ["strata", "--", "-6", "8", "-3"])
     assert r.exit_code == 0

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from minkfeat import MongePatch, lambda_invariants
 from minkfeat.family import (
@@ -14,6 +15,7 @@ from minkfeat.family import (
     umbilic_tracker,
 )
 from minkfeat.jets import resultant_quartic_cubic
+from minkfeat.tracer import _NEWTON_ITERS
 
 from helpers import (
     flat_umbilic_patch,
@@ -162,10 +164,42 @@ def test_sweep_unclosable_bracket_raises():
     rng = np.random.default_rng(11)
     base = lightlike_umbilic_patch(rng)
     spec = FamilySpec(base, {(1, 0): (1.0,)}, t_range=(-0.001, 0.001), samples=3)
-    import pytest
-
     with pytest.raises(EventBracketError):
         sweep(spec, [Flapping()], domain=DOM, n=65)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1e-4, np.nan, np.inf])
+def test_sweep_rejects_bad_resolution(resolution):
+    spec = FamilySpec(lightlike_umbilic_patch(np.random.default_rng(11)), {(1, 0): (1.0,)},
+                      t_range=(-0.001, 0.001), samples=3)
+    with pytest.raises(ValueError, match="resolution"):
+        sweep(spec, [IntersectionMonitor("LD", "MCNC")], domain=DOM, n=65,
+              resolution=resolution)
+
+
+def test_sweep_halving_stops_at_adjacent_floats():
+    """A resolution finer than float spacing ends the bisection at a
+    bracket of adjacent floats instead of halving forever."""
+    from minkfeat.family import _Monitor
+
+    base = lightlike_umbilic_patch(np.random.default_rng(11))
+
+    class Step(_Monitor):
+        name = "step"
+        calls = 0
+
+        def measure(self, patch, domain, n):
+            self.calls += 1
+            assert self.calls < 1000, "bisection does not terminate"
+            return int(patch.a(1, 0) > base.a(1, 0) + 3e-4)
+
+    spec = FamilySpec(base, {(1, 0): (1.0,)}, t_range=(-0.001, 0.001), samples=3)
+    mon = Step()
+    res = sweep(spec, [mon], domain=DOM, n=65, resolution=1e-300)
+    [e] = res.events
+    assert (e.before, e.after) == (0, 1)
+    assert e.t_hi == np.nextafter(e.t_lo, np.inf)
+    assert mon.calls < 100
 
 
 def test_sweep_events_stable_under_step_halving():
@@ -245,6 +279,23 @@ def test_umbilic_points_at_timelike_umbilic():
     assert np.hypot(*pts[0]) < 1e-9
 
 
+def test_umbilic_points_eval_count_independent_of_seeds(jet_work, monkeypatch):
+    """All seeds polish as one batch: 3 residuals up front, then 6
+    Jacobian entries and 3 residuals per step, whatever the seed count
+    (13 seeds here, where a loop per seed made 4 899 calls)."""
+    import minkfeat.family as family
+
+    seeds = []
+    batched = family._newton_rows
+    monkeypatch.setattr(family, "_newton_rows",
+                        lambda F, J, P, *args: seeds.append(len(P)) or batched(F, J, P, *args))
+    base = non_morse_umbilic_patch(np.random.default_rng(7))
+    pts, work = jet_work(umbilic_points, base, ((-0.05, 0.05), (-0.05, 0.05)))
+    assert len(pts) == 1
+    assert work["eval"] <= 9 * _NEWTON_ITERS + 3
+    assert seeds == [13]
+
+
 def test_umbilic_tracker_base_at_zero():
     rng = np.random.default_rng(6)
     base = non_morse_umbilic_patch(rng)
@@ -300,6 +351,17 @@ def test_a3_path_lightlike_umbilic():
     tangent = path["tangent"]
     assert abs(abs(tangent[0]) - pred) < 0.02 * pred
     assert np.abs(tangent[1:]).max() < 0.02 * pred
+
+
+def test_reduced_psi_raises_at_vanishing_second_derivative():
+    """The LPL field of the lightcone patch f = x + y^2 vanishes
+    identically, so the Newton anchor of the critical curve has no
+    derivative to divide by: the reduction raises instead of returning
+    the unpolished origin."""
+    from minkfeat.family import _reduced_psi
+
+    with pytest.raises(ZeroDivisionError):
+        _reduced_psi(MongePatch.lightcone(2, [(2, 2, 1.0)]))
 
 
 def test_a3_path_degenerate_timelike_umbilic():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minkfeat import MongePatch, feature_fields, fundamental_forms
 from minkfeat.jets import Jet2
 from minkfeat.patch import FeatureField
-from minkfeat.tracer import _BISECT_ITERS, _NEWTON_ITERS, intersect, trace
+from minkfeat.tracer import (_BISECT_ITERS, _NEWTON_ITERS, DEFAULT_DOMAIN, _lstsq_rows,
+                             _newton_rows, _solve_rows, intersect, trace)
 
 
 CRITERION_10 = MongePatch.lightcone(4, [(2, 2, 0.6), (3, 0, 0.8), (3, 1, 0.3),
@@ -61,6 +63,17 @@ def test_squared_line_traced_as_degenerate_polyline():
     assert np.abs(v[:, 1]).max() < 1e-10  # exactly the axis y = 0
 
 
+@pytest.mark.parametrize("kind", ["LPL", "PC", "MCNC"])
+def test_trace_identically_zero_field_raises(kind):
+    """LPL, PC and MCNC of the lightcone patch f = x + y^2 vanish
+    identically: their zero set is the whole window, so trace refuses at
+    once (treating every grid point as a candidate zero took hours at
+    n = 257)."""
+    ff = feature_fields(fundamental_forms(MongePatch.lightcone(2, [(2, 2, 1.0)])))
+    with pytest.raises(ValueError, match=f"{kind} field is identically zero"):
+        trace(ff[kind], DEFAULT_DOMAIN, 257)
+
+
 def test_refinement_stability():
     """Doubling the grid never removes a polyline whose gradient along it
     is healthy."""
@@ -112,28 +125,71 @@ def test_intersections_lie_on_both_curves():
 # Field evaluations are deterministic, so these bounds are perf gates that
 # cannot flake: refinement runs batched over all edges or seeds, and the
 # number of Jet2.eval calls does not grow with their count.
-@pytest.fixture
-def eval_calls(monkeypatch):
-    calls = []
-    real_eval = Jet2.eval
-    monkeypatch.setattr(Jet2, "eval", lambda self, x, y: calls.append(1) or real_eval(self, x, y))
-    return calls
-
-
-def test_trace_eval_count_independent_of_edges(eval_calls):
+def test_trace_eval_count_independent_of_edges(jet_work):
     f = field("LPL", [(2, 0, 1.0), (2, 2, -1.0)])
-    t = trace(f, ((-1, 1), (-1, 1)), 257)
+    t, work = jet_work(trace, f, ((-1, 1), (-1, 1)), 257)
     assert len(t.vertices()) > 1000          # one per crossing edge
-    assert len(eval_calls) <= _BISECT_ITERS + 4
+    assert work["eval"] <= _BISECT_ITERS + 4
 
 
 @pytest.mark.parametrize("n", [65, 257])
-def test_intersect_eval_count_independent_of_seeds(eval_calls, n):
+def test_intersect_eval_count_independent_of_seeds(jet_work, n):
     """The tangential LPL/PC root of the criterion-10 scene, where every
     seed cell of a clustered patch polishes toward the same point."""
     ff = feature_fields(fundamental_forms(CRITERION_10))
-    pts = intersect(ff["LPL"], ff["PC"], ((-0.12, 0.12), (-0.12, 0.12)), n)
+    pts, work = jet_work(intersect, ff["LPL"], ff["PC"], ((-0.12, 0.12), (-0.12, 0.12)), n)
     assert len(pts) == 1 and not pts[0].transversal
     # grid signs need no call; 2 residuals up front, 4 Jacobian entries and
     # 2 residuals per Newton step, 4 gradients and 2 residuals at the end
-    assert len(eval_calls) <= 6 * _NEWTON_ITERS + 8
+    assert work["eval"] <= 6 * _NEWTON_ITERS + 8
+
+
+# ------------------------------------------------------------ Newton kernel
+@st.composite
+def newton_systems(draw):
+    """Residual jets (2 for ``_solve_rows``, 2 or 3 for ``_lstsq_rows``)
+    and start rows, some repeated; now and then the Jacobian is singular
+    everywhere, or only at an added start row at the origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    solver = draw(st.sampled_from([_solve_rows, _lstsq_rows]))
+    m = 2 if solver is _solve_rows else draw(st.sampled_from([2, 3]))
+    degree = draw(st.integers(1, 4))
+    c = rng.normal(size=(m, degree + 1, degree + 1))
+    P = rng.normal(size=(draw(st.integers(1, 6)), 2)) * draw(st.sampled_from([0.1, 1.0]))
+    P = np.vstack([P, P[:draw(st.integers(0, 2))]])
+    singular = draw(st.sampled_from(["no", "everywhere", "at the origin"]))
+    if singular == "everywhere":
+        c[1] = c[0] * rng.normal()
+    elif singular == "at the origin":
+        c[0, 1, 0] = c[0, 0, 1] = 0.0
+        P = np.vstack([P, [0.0, 0.0]])
+    F = [Jet2(degree, ck) for ck in c]
+    return tuple(F), P, solver, draw(st.sampled_from([np.inf, 3.0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(newton_systems())
+def test_newton_rows_batch_matches_rows_alone_bitwise(system):
+    """Every row of a batch does the arithmetic it does alone: points,
+    residuals and converged flags agree bit for bit."""
+    F, P, solve, max_step = system
+    J = [(f.diff("x"), f.diff("y")) for f in F]
+
+    def done(size, r0, r1):
+        return (size < 1e-15) | (np.abs(r1).max(axis=1) < 1e-12)
+
+    def run(P):
+        try:
+            return _newton_rows(F, J, P, solve, done, max_step)
+        except np.linalg.LinAlgError:  # lstsq of a row that overflowed to NaN
+            assert solve is _lstsq_rows
+            return None
+
+    with np.errstate(all="ignore"):
+        batch = run(P)
+        alone = [run(P[k:k + 1]) for k in range(len(P))]
+    if batch is None or None in alone:
+        assert batch is None and None in alone
+        return
+    for got, want in zip(batch, zip(*alone)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
