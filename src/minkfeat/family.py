@@ -270,9 +270,9 @@ def umbilic_points(patch: MongePatch, domain=((-0.1, 0.1), (-0.1, 0.1)),
     # seeds: local minima of the residual
     pad = np.pad(R, 1, constant_values=np.inf)
     i, j = np.nonzero(R <= np.lib.stride_tricks.sliding_window_view(pad, (3, 3)).min(axis=(2, 3)))
-    P, R, _ = _newton_rows(jets, [(jj.diff("x"), jj.diff("y")) for jj in jets],
-                           np.column_stack([xs[i], ys[j]]), _lstsq_rows,
-                           lambda size, r0, r1: size < 1e-15)
+    P, R, _, _ = _newton_rows(jets, [(jj.diff("x"), jj.diff("y")) for jj in jets],
+                              np.column_stack([xs[i], ys[j]]), _lstsq_rows,
+                              lambda size, r0, r1: size < 1e-15)
     scale = max(1.0, max(float(np.max(np.abs(jj.c))) for jj in jets))
     found = _merge_points([p for p, r in zip(P, R)
                            if np.abs(r).max() < tol * scale and rect.contains(p, pad=1e-12)], 1e-6)
@@ -406,8 +406,8 @@ def _reduced_psi(patch: MongePatch, order: int = 5) -> np.ndarray:
     ddx = dtil.diff("x")
     # critical curve x = xi(y) through the Newton root of (d(dtil)/dx, y) near 0
     y = Jet2.variable("y", 1)
-    P, _, _ = _newton_rows((ddx, y), [(g.diff("x"), g.diff("y")) for g in (ddx, y)],
-                           np.zeros((1, 2)), _anchor_step, lambda size, r0, r1: size < 1e-15)
+    P = _newton_rows((ddx, y), [(g.diff("x"), g.diff("y")) for g in (ddx, y)],
+                     np.zeros((1, 2)), _anchor_step, lambda size, r0, r1: size < 1e-15)[0]
     x0 = float(P[0, 0])
     shifted = ddx.recenter(x0, 0.0)
     xi = ift_series(shifted, "x", order - 1)

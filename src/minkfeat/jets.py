@@ -9,6 +9,13 @@ the degree, so a Jet2 of degree k is an element of R[x,y]/m^(k+1).
 Jets are immutable after construction and safe to share across threads;
 the coefficients cut to the true degree and the partial derivatives are
 computed on first use and cached.
+
+Every evaluation runs one kernel, ``_horner``: numpy's ``polyval``
+recurrence done in place on one accumulator, so results are
+bit-identical to ``polyval2d`` on the padded coefficient grid.
+``Jet2.eval`` and ``Jet2.eval_grid`` run it once in x and once in y;
+``_JetStack`` runs it on several jets at once, their true-degree grids
+padded with +0.0 into one array.
 """
 from __future__ import annotations
 
@@ -221,9 +228,16 @@ class Jet2:
             return self._trim
 
     def eval(self, x, y):
-        """Evaluate exactly at scalars or numpy arrays (broadcasting)."""
-        return np.polynomial.polynomial.polyval2d(np.asarray(x), np.asarray(y),
-                                                  self._true_coeffs())
+        """Evaluate exactly at scalars or numpy arrays (broadcasting).
+
+        The arithmetic of ``polyval2d`` on the broadcast x and y: Horner
+        in x on every column, then in y.  Scalars give a numpy scalar.
+        """
+        x, y = np.asarray(x), np.asarray(y)
+        if x.shape != y.shape:
+            x, y = np.broadcast_arrays(x, y)
+        c = self._true_coeffs()
+        return _horner(_horner(c.reshape(c.shape + (1,) * x.ndim), x), y)
 
     def eval_grid(self, xs, ys):
         """Values on the tensor grid xs x ys, indexed [i, j] -> (xs[i], ys[j]).
@@ -232,8 +246,10 @@ class Jet2:
         both run the same Horner steps per element, x first, but this
         never builds the meshgrid or a (degree, n, n) temporary.
         """
-        return np.polynomial.polynomial.polygrid2d(np.asarray(xs), np.asarray(ys),
-                                                   self._true_coeffs())
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        c = self._true_coeffs()
+        v = _horner(c.reshape(c.shape + (1,) * xs.ndim), xs)
+        return _horner(v.reshape(v.shape + (1,) * ys.ndim), ys)
 
     def gradient_at(self, x: float, y: float):
         return np.array([self.diff("x").eval(x, y), self.diff("y").eval(x, y)])
@@ -295,6 +311,50 @@ class Jet2:
             for b_ in range(q + 1):
                 out[:, b_] += comb(q, b_) * py ** (q - b_) * cx[:, q]
         return Jet2(self.degree, out)
+
+
+def _horner(c, x):
+    """Horner's rule along the first axis of c, in place: sum_i c[i] x^i.
+
+    numpy's ``polyval`` steps ``acc = c[i] + acc*x``, allocating two
+    arrays per step; this runs ``acc *= x; acc += c[i]`` on one
+    accumulator.  The start is the same ``c[-1] + x*0`` and IEEE addition
+    and multiplication commute, so every result is bit-identical.  x
+    broadcasts against c[0] (give c trailing unit axes for a tensor
+    evaluation); a 0-d result is a numpy scalar.
+    """
+    acc = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        acc *= x
+        acc += ci
+    return acc
+
+
+class _JetStack:
+    """Several jets evaluated at the same points in one pass.
+
+    Their true-degree coefficient grids sit in one array padded with
+    +0.0.  A leading +0.0 coefficient is an exact no-op in Horner's rule
+    (see ``Jet2._true_coeffs``), and padded columns evaluate to +0.0 in
+    x, so each row of ``eval`` is bit-identical to that jet's own
+    ``Jet2.eval``.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, jets):
+        cs = [j._true_coeffs() for j in jets]
+        # axes: power of x, power of y, jet, and a unit axis for the points
+        self.c = np.zeros((max(c.shape[0] for c in cs), max(c.shape[1] for c in cs), len(cs), 1))
+        for k, c in enumerate(cs):
+            self.c[: c.shape[0], : c.shape[1], k, 0] = c
+
+    def __len__(self) -> int:
+        return self.c.shape[2]
+
+    def eval(self, x, y) -> np.ndarray:
+        """Values at the points (x[i], y[i]) of two 1-D arrays, indexed [jet, i]."""
+        return _horner(_horner(self.c, x), y)
 
 
 # ---------------------------------------------------------------- series ops

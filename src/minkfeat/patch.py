@@ -19,7 +19,7 @@ embedding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,6 +146,9 @@ class FormBundle:
 class FeatureField:
     kind: str
     jet: Jet2
+    #: read-only sign-change cell masks of the field's grids, keyed by
+    #: (Rect, n); filled by ``tracer.intersect``
+    _sign_cells: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, x, y):
         return self.jet.eval(x, y)

@@ -10,9 +10,13 @@ Field evaluation is batched: the grid is sampled with ``Jet2.eval_grid``,
 all crossing edges are bisected together, and one Newton kernel polishes
 all seeds of a root search at once (``intersect``, the isolated-zero
 search, and ``family``'s umbilics and A3 anchor), each row keeping its
-own stop rule.  Every row does the arithmetic of a scalar loop, so
-results are bit-identical to one; the number of field evaluations grows
-with the iteration count, not with the number of edges or seeds.
+own stop rule.  The kernel evaluates the residual and Jacobian jets of
+its system in one stacked pass per step (``jets._JetStack``).  Every row
+does the arithmetic of a scalar loop, so results are bit-identical to
+one; the number of field evaluations grows with the iteration count, not
+with the number of edges or seeds.  ``intersect`` memoises each field's
+sign-change cells per window and grid on the field, so the pairs of one
+set of fields sample each field's grid once.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jets import _JetStack
 from .patch import FeatureField
 
 __all__ = [
@@ -146,12 +151,8 @@ def trace(fld: FeatureField, domain=DEFAULT_DOMAIN, n: int = DEFAULT_GRID) -> Tr
     xs = np.linspace(rect.xmin, rect.xmax, n)
     ys = np.linspace(rect.ymin, rect.ymax, n)
     jet = fld.jet
-    V = np.asarray(jet.eval_grid(xs, ys), dtype=float)
-    S = np.sign(V)
-    S[S == 0] = 1.0  # grid value exactly zero: treat as positive, bisection recovers it
-
-    hcross = S[:-1, :] * S[1:, :] < 0   # edge (i,j)-(i+1,j)
-    vcross = S[:, :-1] * S[:, 1:] < 0   # edge (i,j)-(i,j+1)
+    V = jet.eval_grid(xs, ys)
+    S, hcross, vcross, cells = _sign_changes(V)
     # edge (i, j, o), o = 0 for (i,j)-(i+1,j) and 1 for (i,j)-(i,j+1), has
     # key 2 (i n + j) + o: its flat index in `crossing`, so keys sort like
     # the (i, j, o) triples
@@ -169,8 +170,8 @@ def trace(fld: FeatureField, domain=DEFAULT_DOMAIN, n: int = DEFAULT_GRID) -> Tr
     # segments as pairs of edge keys, cell by cell in row-major order; each
     # cell has 2 crossed sides, or 4 (a saddle, whose centre sample decides
     # the pairing): odd counts only happen when a vertex sits exactly on
-    # the curve, which the sign convention above prevents
-    ci, cj = np.nonzero(hcross[:, :-1] | hcross[:, 1:] | vcross[:-1, :] | vcross[1:, :])
+    # the curve, which the sign convention of _sign_changes prevents
+    ci, cj = np.nonzero(cells)
     sides = np.column_stack([key(ci, cj, 0), key(ci + 1, cj, 1),
                              key(ci, cj + 1, 0), key(ci, cj, 1)])  # bottom, right, top, left
     crossed = crossing.ravel()[sides]
@@ -245,6 +246,17 @@ def trace(fld: FeatureField, domain=DEFAULT_DOMAIN, n: int = DEFAULT_GRID) -> Tr
     return TracedCurve(fld.kind, out_lines, out_res, isolated, rect, n)
 
 
+def _sign_changes(V):
+    """Signs of the grid values V, a zero counting as positive (bisection
+    recovers a zero vertex), and the masks of the edges (i,j)-(i+1,j) and
+    (i,j)-(i,j+1), and of the cells, whose corners differ in sign."""
+    S = np.sign(V)
+    S[S == 0] = 1.0
+    hcross = S[:-1, :] * S[1:, :] < 0
+    vcross = S[:, :-1] * S[:, 1:] < 0
+    return S, hcross, vcross, hcross[:, :-1] | hcross[:, 1:] | vcross[:-1, :] | vcross[1:, :]
+
+
 def _signless_zeros(fld, V, xs, ys, hcross, vcross):
     """Zero-level sets invisible to sign-change cells.
 
@@ -270,10 +282,10 @@ def _signless_zeros(fld, V, xs, ys, hcross, vcross):
     fxx, fxy, fyy = fx.diff("x"), fx.diff("y"), fy.diff("y")
     P = np.column_stack([xs[ii], ys[jj]])
     # plausibility: a zero extremum has |f| = O(||H|| d^2) within a cell
-    Hn = np.maximum(1.0, np.abs([_at(d, P) for d in (fxx, fxy, fyy)]).max(axis=0))
+    Hn = np.maximum(1.0, np.abs(_at(_JetStack((fxx, fxy, fyy)), P)).max(axis=0))
     P = P[~(A[ii, jj] > 4.0 * Hn * cell_scale**2)]
-    P, _, ok = _newton_rows((fx, fy), ((fxx, fxy), (fxy, fyy)), P, _lstsq_rows,
-                            lambda size, r0, r1: size < 1e-14)
+    P, _, _, ok = _newton_rows((fx, fy), ((fxx, fxy), (fxy, fyy)), P, _lstsq_rows,
+                               lambda size, r0, r1: size < 1e-14)
     P = P[ok]
     pts = _merge_points(P[np.abs(_at(jet, P)) < REFINE_TOL], 0.5 * cell_scale)
     if not len(pts):
@@ -322,43 +334,30 @@ def _signless_zeros(fld, V, xs, ys, hcross, vcross):
 def intersect(a: FeatureField, b: FeatureField, domain=DEFAULT_DOMAIN,
               n: int = DEFAULT_GRID, merge_tol: float = 1e-6) -> list[IntersectionPoint]:
     """Common zeros of two fields: seeds from cells where both change
-    sign, polished by Newton on (a, b) with the exact jet Jacobian, all
-    seeds at once, each stopping by its own test."""
+    sign (each field keeps its cells per window and grid), polished by
+    Newton on (a, b) with the exact jet Jacobian, all seeds at once, each
+    stopping by its own test."""
     rect = Rect.make(domain)
     xs = np.linspace(rect.xmin, rect.xmax, n)
     ys = np.linspace(rect.ymin, rect.ymax, n)
-    Sa = np.sign(np.asarray(a.jet.eval_grid(xs, ys), float))
-    Sb = np.sign(np.asarray(b.jet.eval_grid(xs, ys), float))
-    Sa[Sa == 0] = 1
-    Sb[Sb == 0] = 1
-
-    def cell_changes(S):
-        c = np.zeros((n - 1, n - 1), dtype=bool)
-        c |= S[:-1, :-1] * S[1:, :-1] < 0
-        c |= S[:-1, 1:] * S[1:, 1:] < 0
-        c |= S[:-1, :-1] * S[:-1, 1:] < 0
-        c |= S[1:, :-1] * S[1:, 1:] < 0
-        return c
-
-    seeds = np.argwhere(cell_changes(Sa) & cell_changes(Sb))
+    seeds = np.argwhere(_sign_change_cells(a, rect, n) & _sign_change_cells(b, rect, n))
     si, sj = seeds[:, 0], seeds[:, 1]
     P = np.column_stack([0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1])])
     jac = ((a.jet.diff("x"), a.jet.diff("y")), (b.jet.diff("x"), b.jet.diff("y")))
     # stop at a short step or a small start residual, if the new one is small
-    P, _, converged = _newton_rows(
+    P, R, G, converged = _newton_rows(
         (a.jet, b.jet), jac, P, _solve_rows,
         lambda size, r0, r1: (((size < 1e-15) | (np.abs(r0) < REFINE_TOL).all(axis=1))
                               & (np.abs(r1).max(axis=1, initial=0.0) < REFINE_TOL)),
         max_step=4 * rect.diag)
     for i, j in seeds[~converged]:
         log.debug("intersect: Newton did not converge from cell (%d,%d)", i, j)
-    found = P[converged]
-    found = found[np.array([rect.contains(p, pad=rect.diag * 1e-9) for p in found], dtype=bool)]
-    grads = [_at(d, found) for row in jac for d in row]
+    found, R, G = P[converged], R[converged], G[converged]
+    inside = np.array([rect.contains(p, pad=rect.diag * 1e-9) for p in found], dtype=bool)
+    found, R, G = found[inside], R[inside], G[inside]
 
     def point_data(k):
-        ga = np.array([grads[0][k], grads[1][k]])
-        gb = np.array([grads[2][k], grads[3][k]])
+        ga, gb = G[k]
         na, nb = np.linalg.norm(ga), np.linalg.norm(gb)
         floor = 1e-12
         # Newton resolves the position only to ~ residual_tol / |gradient|
@@ -373,35 +372,46 @@ def intersect(a: FeatureField, b: FeatureField, domain=DEFAULT_DOMAIN,
             uncert = max(uncert, 25.0 * np.sqrt(REFINE_TOL))
         return transversal, float(uncert)
 
-    merged: list[tuple[np.ndarray, bool, float]] = []
+    merged: list[tuple[int, bool, float]] = []
     for k in sorted(range(len(found)), key=lambda k: (found[k][0], found[k][1])):
         p = found[k]
         tr_p, u_p = point_data(k)
         dup = False
-        for q, _, u_q in merged:
-            if np.hypot(*(p - q)) < max(merge_tol, 4.0 * (u_p + u_q)):
+        for j, _, u_q in merged:
+            if np.hypot(*(p - found[j])) < max(merge_tol, 4.0 * (u_p + u_q)):
                 dup = True
                 break
         if not dup:
-            merged.append((p, tr_p, u_p))
+            merged.append((k, tr_p, u_p))
 
-    M = np.array([p for p, _, _ in merged]).reshape(-1, 2)
-    ra, rb = _at(a.jet, M), _at(b.jet, M)
     return [
         IntersectionPoint(
-            position=p,
+            position=found[k],
             kinds=(a.kind, b.kind),
-            residuals=(float(ra[k]), float(rb[k])),
+            residuals=(float(R[k, 0]), float(R[k, 1])),
             transversal=tr_p,
         )
-        for k, (p, tr_p, _) in enumerate(merged)
+        for k, tr_p, _ in merged
     ]
 
 
+def _sign_change_cells(fld: FeatureField, rect: Rect, n: int) -> np.ndarray:
+    """Read-only mask of the cells of the n x n grid on rect whose corner
+    values change sign (a zero counts as positive), memoised on the field."""
+    cells = fld._sign_cells.get((rect, n))
+    if cells is None:
+        cells = _sign_changes(fld.jet.eval_grid(np.linspace(rect.xmin, rect.xmax, n),
+                                                np.linspace(rect.ymin, rect.ymax, n)))[3]
+        cells.setflags(write=False)
+        fld._sign_cells[(rect, n)] = cells
+    return cells
+
+
 def _at(jet, pts) -> np.ndarray:
-    """Values of the jet at the rows of an (m, 2) array; no call when m = 0."""
+    """Values of a Jet2, shape (m,), or of a _JetStack, shape (k, m), at the
+    rows of an (m, 2) array; no call when m = 0."""
     if not len(pts):
-        return np.zeros(0)
+        return np.zeros((len(jet), 0)) if isinstance(jet, _JetStack) else np.zeros(0)
     return np.asarray(jet.eval(pts[:, 0], pts[:, 1]), float)
 
 
@@ -409,30 +419,33 @@ def _newton_rows(F, J, P, solve, done, max_step=np.inf):
     """Newton (Gauss-Newton for more than two residuals) on every row of P.
 
     F holds the residual jets, J[i][j] the jet of dF[i]/dx_j (passed in:
-    jets equal in exact arithmetic may round apart).  ``solve(J, rhs)``
-    solves the live rows' systems; ``done(size, r_before, r_after)`` marks
-    the rows that stop converged after their step.  A NaN step, or one
-    longer than max_step, stops its row unconverged without being taken.
-    Returns the points, the residuals at them and the converged mask."""
+    jets equal in exact arithmetic may round apart); both are evaluated
+    together, in one stacked pass per step.  ``solve(J, rhs)`` solves the
+    live rows' systems; ``done(size, r_before, r_after)`` marks the rows
+    that stop converged after their step.  A NaN step, or one longer than
+    max_step, stops its row unconverged without being taken.  Returns the
+    points, the residuals (m, k) and Jacobians (m, k, 2) at them, and the
+    converged mask."""
     P = np.array(P, dtype=float)
-    R = np.column_stack([_at(f, P) for f in F])
+    k = len(F)
+    stack = _JetStack([*F, *(d for row in J for d in row)])
+    V = _at(stack, P).T  # per row: the k residuals, then J row by row
     converged = np.zeros(len(P), dtype=bool)
     live = np.arange(len(P))
     for _ in range(_NEWTON_ITERS):
         if not live.size:
             break
-        Jm = np.stack([_at(d, P[live]) for row in J for d in row], axis=1).reshape(-1, len(F), 2)
-        steps = solve(Jm, -R[live])
+        steps = solve(V[live, k:].reshape(-1, k, 2), -V[live, :k])
         # np.linalg.norm per row: its BLAS dot rounds unlike a vectorised sum
         size = np.array([np.linalg.norm(step) for step in steps])
         keep = size <= max_step
-        live, size, before = live[keep], size[keep], R[live[keep]]
+        live, size, before = live[keep], size[keep], V[live[keep], :k]
         P[live] = P[live] + steps[keep]
-        R[live] = np.column_stack([_at(f, P[live]) for f in F])
-        stop = done(size, before, R[live])
+        V[live] = _at(stack, P[live]).T
+        stop = done(size, before, V[live, :k])
         converged[live[stop]] = True
         live = live[~stop]
-    return P, R, converged
+    return P, V[:, :k], V[:, k:].reshape(-1, k, 2), converged
 
 
 def _lstsq_rows(J, rhs) -> np.ndarray:

@@ -144,6 +144,44 @@ def test_intersect_eval_count_independent_of_seeds(jet_work, n):
     assert work["eval"] <= 6 * _NEWTON_ITERS + 8
 
 
+PAIRS = [("LD", "LPL"), ("LD", "PC"), ("LD", "MCNC"),
+         ("LPL", "PC"), ("LPL", "MCNC"), ("PC", "MCNC")]
+
+
+def _crossing_fields():
+    from helpers import random_timelike
+
+    return feature_fields(fundamental_forms(random_timelike(np.random.default_rng(5), scale=2.0)))
+
+
+def test_intersect_samples_each_field_grid_once(jet_work):
+    """The six pairs of one set of fields sample each field's grid once
+    (a grid per field and pair made 12 calls)."""
+    ff = _crossing_fields()
+    pts, work = jet_work(lambda: [intersect(ff[a], ff[b], n=65) for a, b in PAIRS])
+    assert sum(map(len, pts)) == 6
+    assert work["eval_grid"] <= 4
+
+
+def _same_points(got, want):
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert p.position.tobytes() == q.position.tobytes()
+        assert p.residuals == q.residuals and p.transversal == q.transversal
+
+
+@pytest.mark.parametrize("windows", [[(DEFAULT_DOMAIN, 65), (((-0.2, 0.1), (-0.15, 0.25)), 65)],
+                                     [(DEFAULT_DOMAIN, 65), (DEFAULT_DOMAIN, 97)]])
+def test_intersect_memo_matches_fresh_fields(windows):
+    """A field queried in two windows, or at two grid sizes, gives the
+    points that fresh fields give in each."""
+    ff = _crossing_fields()
+    for dom, n in windows:
+        for a, b in PAIRS:
+            fresh = _crossing_fields()
+            _same_points(intersect(ff[a], ff[b], dom, n), intersect(fresh[a], fresh[b], dom, n))
+
+
 # ------------------------------------------------------------ Newton kernel
 @st.composite
 def newton_systems(draw):
