@@ -347,9 +347,10 @@ def detect_scenario(patch: MongePatch, family=None,
     nondegeneracy quantity required by the detected scenario sits inside
     tolerance as well.
     """
+    bundle = fundamental_forms(patch)  # held: the helpers called below share its fields
     pc = classify_point(patch, (0.0, 0.0), tol=tol)
     lv = lambda_invariants(patch, family=family)
-    ff = feature_fields(fundamental_forms(patch))
+    ff = feature_fields(bundle)
     report = ScenarioReport("GENERIC", pc, lv,
                             tolerances={"membership": tol, "hessian": HESSIAN_RTOL})
 

@@ -67,6 +67,7 @@ def analyze(scene_path, out_dir, grid):
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n = grid or scene.grid
+    bundle = fundamental_forms(scene.patch)  # held: every stage below shares its jets
 
     ambiguous = False
     try:
@@ -75,7 +76,7 @@ def analyze(scene_path, out_dir, grid):
         report = e.report
         ambiguous = True
 
-    ff = feature_fields(fundamental_forms(scene.patch))
+    ff = feature_fields(bundle)
     contacts = []
     for a, b in PAIRS:
         for pt in intersect(ff[a], ff[b], scene.domain, n):

@@ -211,12 +211,13 @@ def sweep(spec: FamilySpec, monitors, domain=((-0.1, 0.1), (-0.1, 0.1)),
     curves = [] if keep_curves else None
     for t in ts:
         patch = spec.patch_at(t)
+        bundle = fundamental_forms(patch)  # held: all monitors at this t share its jets
         snap = {"t": float(t)}
         for mon in monitors:
             snap[mon.name] = mon.measure(patch, domain, n)
         snapshots.append(snap)
         if keep_curves:
-            ff = feature_fields(fundamental_forms(patch))
+            ff = feature_fields(bundle)
             curves.append({k: trace(ff[k], domain, n) for k in keep_curves})
 
     events = []

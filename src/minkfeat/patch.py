@@ -13,12 +13,18 @@ Two chart orientations are supported:
 curvature numerators) is computed as an exact polynomial jet; the jets
 and the pointwise evaluators agree to rounding everywhere.
 
+Derived jets have one route: ``fundamental_forms`` returns the patch's
+shared form bundle, and ``feature_fields`` and ``bde_jets`` build their
+jets once per bundle.  Bundles are memoised weakly, so a bundle and its
+jets live exactly as long as some caller holds the bundle.
+
 For the second Monge variable we always use the jet variable ``y``; in
 the timelike chart it plays the role of the coordinate called z in the
 embedding.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +56,9 @@ FIELD_KINDS = ("LD", "LPL", "PC", "MCNC")
 #: |delta(q)| below this times the local gradient scale selects the
 #: lightcone chart in monge_taylor.
 LD_MEMBERSHIP_RTOL = 1e-8
+
+#: weak memo (id(patch), cross sign) -> bundle; a bundle holds its patch, so the id is unique
+_FORMS = weakref.WeakValueDictionary()
 
 
 class FrameDegeneracy(ValueError):
@@ -140,6 +149,8 @@ class FormBundle:
     m: Jet2
     n: Jet2
     cross_sign: float = 1.0
+    #: feature fields and BDE jets, built on first use
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -161,70 +172,67 @@ def fundamental_forms(patch: MongePatch, cross_sign: float = 1.0) -> FormBundle:
     """First fundamental form and cross-scaled second form of the patch.
 
     cross_sign=-1 recomputes with the flipped cross-product convention
-    (flips l, m, n); exposed for the convention-invariance tests.
+    (flips l, m, n); exposed for the convention-invariance tests.  While a
+    caller holds the bundle, every call for the same patch and sign returns it.
     """
+    sign = float(np.sign(cross_sign))
+    if sign not in (1.0, -1.0):
+        raise ValueError(f"cross_sign must be a nonzero number, got {cross_sign!r}")
+    key = (id(patch), sign)
+    if (bundle := _FORMS.get(key)) is not None:
+        return bundle
     k = patch.degree
     W = max(6 * k - 8, k, 4)  # large enough for every derived field to be exact
     f = patch.f.truncated(W)
     fx, fy = f.diff("x").truncated(W), f.diff("y").truncated(W)
     one = Jet2.constant(1.0, W)
+    second = [f.diff(u).diff(v).truncated(W) for u, v in ("xx", "xy", "yy")]
     if patch.form == TIMELIKE_FORM:
         # x_x=(1,fx,0), x_z=(0,fz,1); x_x x x_z = (fx, -1, -fz)
-        E = one + fx * fx
-        F = fx * fy
-        G = fy * fy - one
-        l = -f.diff("x").diff("x").truncated(W)
-        m = -f.diff("x").diff("y").truncated(W)
-        n = -f.diff("y").diff("y").truncated(W)
+        E, F, G = one + fx * fx, fx * fy, fy * fy - one
+        flip = sign > 0
     else:
         # x_x=(1,0,fx), x_y=(0,1,fy); x_x x x_y = (-fx, -fy, -1)
-        E = one - fx * fx
-        F = -(fx * fy)
-        G = one - fy * fy
-        l = f.diff("x").diff("x").truncated(W)
-        m = f.diff("x").diff("y").truncated(W)
-        n = f.diff("y").diff("y").truncated(W)
-    if cross_sign < 0:
-        l, m, n = -l, -m, -n
-    return FormBundle(patch, E, F, G, l, m, n, cross_sign=float(np.sign(cross_sign)))
+        E, F, G = one - fx * fx, -(fx * fy), one - fy * fy
+        flip = sign < 0
+    l, m, n = (-j for j in second) if flip else second
+    return _FORMS.setdefault(key, FormBundle(patch, E, F, G, l, m, n, cross_sign=sign))
 
 
 def feature_fields(bundle: FormBundle) -> dict[str, FeatureField]:
-    """The four feature fields as exact polynomial jets.
+    """The four feature fields as exact polynomial jets, built once per bundle.
 
     LD:   delta = F^2 - E G
-    LPL:  (E n - G l)^2 - 4 (F n - G m)(E m - F l)
+    LPL:  B^2 - 4 A C, the discriminant of the BDE (see bde_jets)
     PC:   l n - m^2
     MCNC: l G - 2 m F + n E
     """
-    E, F, G, l, m, n = bundle.E, bundle.F, bundle.G, bundle.l, bundle.m, bundle.n
-    delta = F * F - E * G
-    dtil = (E * n - G * l) ** 2 - 4.0 * ((F * n - G * m) * (E * m - F * l))
-    K = l * n - m * m
-    H = l * G - 2.0 * (m * F) + n * E
-    return {
-        "LD": FeatureField("LD", delta),
-        "LPL": FeatureField("LPL", dtil),
-        "PC": FeatureField("PC", K),
-        "MCNC": FeatureField("MCNC", H),
-    }
+    ff = bundle._derived.get("fields")
+    if ff is None:
+        E, F, G, l, m, n = bundle.E, bundle.F, bundle.G, bundle.l, bundle.m, bundle.n
+        A, B, C = bde_jets(bundle)
+        ff = bundle._derived["fields"] = {
+            "LD": FeatureField("LD", F * F - E * G),
+            "LPL": FeatureField("LPL", B ** 2 - 4.0 * (A * C)),
+            "PC": FeatureField("PC", l * n - m * m),
+            "MCNC": FeatureField("MCNC", l * G - 2.0 * (m * F) + n * E),
+        }
+    return ff
 
 
 def bde_jets(bundle: FormBundle) -> tuple[Jet2, Jet2, Jet2]:
     """Coefficient jets (A, B, C) of A dv^2 + B du dv + C du^2 = 0 for the
     extended curvature-line equation: A = G m - F n, B = G l - E n,
-    C = F l - E m.  All three vanish exactly at umbilic points."""
-    E, F, G, l, m, n = bundle.E, bundle.F, bundle.G, bundle.l, bundle.m, bundle.n
-    return (G * m - F * n, G * l - E * n, F * l - E * m)
+    C = F l - E m.  All three vanish exactly at umbilic points; built once per bundle."""
+    abc = bundle._derived.get("bde")
+    if abc is None:
+        E, F, G, l, m, n = bundle.E, bundle.F, bundle.G, bundle.l, bundle.m, bundle.n
+        abc = bundle._derived["bde"] = (G * m - F * n, G * l - E * n, F * l - E * m)
+    return abc
 
 
 def bde_coefficients(bundle: FormBundle, p) -> tuple[float, float, float]:
-    A, B, C = bde_jets(bundle)
-    return (
-        float(A.eval(p[0], p[1])),
-        float(B.eval(p[0], p[1])),
-        float(C.eval(p[0], p[1])),
-    )
+    return tuple(float(j.eval(p[0], p[1])) for j in bde_jets(bundle))
 
 
 def homothety(patch: MongePatch, lam: float) -> MongePatch:
@@ -265,10 +273,9 @@ def monge_taylor(patch: MongePatch, q, degree: int | None = None) -> MongePatch:
     E_ = mk.inner(xu, xu)
     F_ = mk.inner(xu, xv)
     G_ = mk.inner(xv, xv)
-    delta = F_ * F_ - E_ * G_
-    # gradient scale of delta at q for the membership tolerance
-    bundle = fundamental_forms(patch)
-    dj = (bundle.F * bundle.F - bundle.E * bundle.G)
+    # delta at q and its gradient scale for the membership tolerance
+    dj = feature_fields(fundamental_forms(patch))["LD"].jet
+    delta = float(dj.eval(q[0], q[1]))
     gscale = max(1.0, float(np.hypot(*dj.gradient_at(q[0], q[1]))))
 
     gram = np.array([[E_, F_], [F_, G_]])

@@ -125,8 +125,10 @@ def parse_scene(data: dict) -> Scene:
                  "domain needs halfwidth or xmin/xmax/ymin/ymax")
         domain = ((_number(dom["xmin"], "domain.xmin"), _number(dom["xmax"], "domain.xmax")),
                   (_number(dom["ymin"], "domain.ymin"), _number(dom["ymax"], "domain.ymax")))
-        _require(domain[0][0] < domain[0][1] and domain[1][0] < domain[1][1],
-                 "empty domain rectangle")
+    # finite numbers can still add up to an infinite or empty window
+    for axis, (lo, hi) in zip("xy", domain):
+        _require(math.isfinite(hi - lo) and lo < hi,
+                 f"domain {axis}-range [{lo!r}, {hi!r}] must be a nonempty finite interval")
 
     family = None
     if "family" in data:
@@ -150,6 +152,7 @@ def parse_scene(data: dict) -> Scene:
                  "family.range must be two distinct endpoints")
         rng = tuple(_number(t, "family.range endpoint") for t in rng)
         _require(rng[0] != rng[1], "family.range must be two distinct endpoints")
+        _require(math.isfinite(rng[1] - rng[0]), "family.range must have a finite width")
         family = FamilySpec(patch, pert, rng, samples)
 
     out = data.get("output", {})

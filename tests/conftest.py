@@ -11,12 +11,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 def jet_work(monkeypatch):
     """``jet_work(fn, *args)`` runs fn and returns its result with the
     number of Jet2 constructions ("new"), Jet2.compose calls ("compose"),
-    jet evaluations ("eval") and Jet2.eval_grid calls ("eval_grid") it
-    made: work counts that repeat exactly, so a test can bound them
-    without timing anything.  A stacked pass over k jets
-    (``_JetStack.eval``) counts as k evaluations, one per Jet2.eval it
-    stands for."""
+    jet evaluations ("eval"), Jet2.eval_grid calls ("eval_grid"), form
+    bundles ("forms") and feature fields ("fields") it made: work counts
+    that repeat exactly, so a test can bound them without timing
+    anything.  A stacked pass over k jets (``_JetStack.eval``) counts as
+    k evaluations, one per Jet2.eval it stands for."""
     from minkfeat.jets import Jet2, _JetStack
+    from minkfeat.patch import FeatureField, FormBundle
 
     counts = Counter()
 
@@ -33,10 +34,13 @@ def jet_work(monkeypatch):
                       ("eval_grid", "eval_grid")):
         count(Jet2, attr, key)
     count(_JetStack, "eval", "eval", weight=lambda stack, *args: len(stack))
+    count(FormBundle, "__init__", "forms")
+    count(FeatureField, "__init__", "fields")
 
     def run(fn, *args, **kwargs):
         counts.clear()
         out = fn(*args, **kwargs)
-        return out, {key: counts[key] for key in ("new", "compose", "eval", "eval_grid")}
+        return out, {key: counts[key]
+                     for key in ("new", "compose", "eval", "eval_grid", "forms", "fields")}
 
     return run

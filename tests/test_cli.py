@@ -141,6 +141,17 @@ def test_analyze_golden_digest(tmp_path):
     assert hashlib.sha256((out / "analysis.json").read_bytes()).hexdigest() == want
 
 
+def test_analyze_builds_one_field_set(tmp_path, jet_work):
+    """One analyze op builds the criterion-10 patch's form bundle and its
+    four fields once, and every stage shares them (scenario detection
+    and the intersection loop rebuilt them: 6 bundles, 5 field sets)."""
+    scene = write_scene(tmp_path, SWEEP_SCENE)
+    r, work = jet_work(CliRunner().invoke, main, ["analyze", scene, "--out", str(tmp_path)])
+    assert r.exit_code == 0, r.output
+    assert work["forms"] == 1
+    assert work["fields"] == 4
+
+
 def test_trace_svg_has_colors(tmp_path):
     scene = write_scene(tmp_path, FLAT_UMBILIC_SCENE)
     out = tmp_path / "out"
@@ -325,6 +336,11 @@ BAD_SCENES = [
     ("domain", {"halfwidth": float("nan")}),
     ("domain", {"halfwidth": True}),
     ("domain", {"xmin": "0", "xmax": 1, "ymin": 0, "ymax": 1}),
+    # finite numbers whose window or range overflows
+    ("domain", {"halfwidth": 1e308}),
+    ("domain", {"xmin": -1.7e308, "xmax": 1.7e308, "ymin": -0.1, "ymax": 0.1}),
+    ("domain", {"halfwidth": 1, "center": [1.7e308, 0]}),
+    ("family.range", [-1.7e308, 1.7e308]),
     ("family.range", 3),
     ("family.range", [float("nan"), 0.003]),
     ("family.range", [-0.003, float("-inf")]),

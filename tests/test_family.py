@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from minkfeat import MongePatch, lambda_invariants
+from minkfeat.cli import PAIRS
 from minkfeat.family import (
     FamilySpec,
     IntersectionMonitor,
@@ -146,6 +147,20 @@ def test_sweep_identity_family_no_events():
     spec = FamilySpec(base, {(2, 2): (0.0,)}, t_range=(-0.002, 0.002), samples=5)
     res = sweep(spec, [IntersectionMonitor("LPL", "MCNC")], domain=DOM, n=65)
     assert res.events == []
+
+
+def test_sweep_monitors_share_one_field_set_per_sample(jet_work):
+    """All six intersection monitors at one t share one bundle, and with
+    it one sign-cell grid per field: 4 grids per sample (a fresh field
+    set per monitor made 18 bundles and 36 grids)."""
+    rng = np.random.default_rng(4)
+    base = lpl_mcnc_point_patch(rng, degenerate=True)
+    spec = FamilySpec(base, {(2, 2): (0.0,)}, t_range=(-0.002, 0.002), samples=3)
+    monitors = [IntersectionMonitor(a, b) for a, b in PAIRS]
+    res, work = jet_work(sweep, spec, monitors, domain=DOM, n=65)
+    assert res.events == []
+    assert work["forms"] <= 3
+    assert work["eval_grid"] <= 12
 
 
 def test_sweep_unclosable_bracket_raises():

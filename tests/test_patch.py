@@ -5,15 +5,18 @@ from minkfeat import (
     FrameDegeneracy,
     MongePatch,
     bde_coefficients,
+    bde_jets,
+    detect_scenario,
     feature_fields,
     fundamental_forms,
     homothety,
     monge_taylor,
 )
 from minkfeat.classify import classify_point
+from minkfeat.patch import _FORMS
 from minkfeat.oracle import fd_gradient, raw_field
 
-from helpers import random_lightcone, random_timelike
+from helpers import lightlike_umbilic_patch, random_lightcone, random_timelike
 
 
 def test_lightcone_origin_constants():
@@ -205,6 +208,31 @@ def test_homothety_preserves_form_and_scales():
     assert q.form == p.form
     assert abs(q.a(2, 1) - p.a(2, 1) / lam) < 1e-14
     assert abs(q.a(3, 0) - p.a(3, 0) / lam**2) < 1e-14
+
+
+def test_derived_jets_shared_while_bundle_held():
+    p = random_timelike(np.random.default_rng(3))
+    bundle = fundamental_forms(p)
+    assert fundamental_forms(p) is bundle
+    assert feature_fields(fundamental_forms(p)) is feature_fields(bundle)
+    assert bde_jets(fundamental_forms(p)) is bde_jets(bundle)
+    minus = fundamental_forms(p, cross_sign=-2.0)
+    assert minus is not bundle and minus.cross_sign == -1.0
+    assert fundamental_forms(p, cross_sign=-1.0) is minus
+
+
+def test_bundle_not_retained_after_detect_scenario():
+    """Bundles are memoised weakly: once detect_scenario returns, nothing
+    derived from the patch stays alive."""
+    p = lightlike_umbilic_patch(np.random.default_rng(3))
+    assert detect_scenario(p).scenario == "LIGHTLIKE_UMBILIC"
+    assert (id(p), 1.0) not in _FORMS
+
+
+@pytest.mark.parametrize("sign", [0.0, -0.0, float("nan")])
+def test_fundamental_forms_rejects_unsigned_cross_sign(sign):
+    with pytest.raises(ValueError):
+        fundamental_forms(random_timelike(np.random.default_rng(3)), cross_sign=sign)
 
 
 def test_cross_convention_flip():
