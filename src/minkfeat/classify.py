@@ -464,6 +464,7 @@ def flat_umbilic_geometry(patch: MongePatch) -> dict:
     which is the normalization under which the products equal Lambda6^2,
     Lambda7^2, Lambda6*Lambda7 and -4*Lambda6*Lambda7.
     """
+    bundle = fundamental_forms(patch)  # held: classify_point shares its fields
     pc = classify_point(patch)
     if pc.umbilic != "flat-timelike":
         raise WrongScenario("patch is not centred at a flat timelike umbilic")
@@ -475,8 +476,7 @@ def flat_umbilic_geometry(patch: MongePatch) -> dict:
 
     # j2 of the curvature field, in the sign convention (m^2 - l n) that
     # makes the values on the coincidence tangents nonnegative
-    ff = feature_fields(fundamental_forms(patch))
-    Kj = ff["PC"].jet
+    Kj = feature_fields(bundle)["PC"].jet
     k20, k21, k22 = -Kj.coeff(2, 0), -Kj.coeff(1, 1), -Kj.coeff(0, 2)
 
     def F_form(v):
@@ -509,6 +509,7 @@ def lightlike_umbilic_geometry(patch: MongePatch, report=None) -> dict:
     three curves through the point are graphs over y with vanishing
     1-jet and the configuration is decided by the y^2 coefficients.
     """
+    bundle = fundamental_forms(patch)  # held: classify_point shares its fields
     pc = classify_point(patch)
     if pc.umbilic != "lightlike":
         raise WrongScenario("patch is not centred at a lightlike umbilic")
@@ -518,8 +519,7 @@ def lightlike_umbilic_geometry(patch: MongePatch, report=None) -> dict:
         raise WrongScenario("degenerate lightlike umbilic (a30 or a22 vanishes)")
     L13 = 6 * a22**2 * a30 + 3 * a30 * a32 - a31**2
 
-    ff = feature_fields(fundamental_forms(patch))
-    dtil, K, H, delta = ff["LPL"].jet, ff["PC"].jet, ff["MCNC"].jet, ff["LD"].jet
+    dtil, K, H, delta = (feature_fields(bundle)[k].jet for k in ("LPL", "PC", "MCNC", "LD"))
     # critical curve of the discriminant field along x and reduced 1-variable germ
     xi = ift_series(dtil.diff("x"), "x", 3)
     psi = series_along_graph(dtil, xi, "x", 4)

@@ -1,8 +1,9 @@
 """Command-line front end: scene files in, reports and plots out.
 
 Exit codes: 0 success, 2 scene schema violation, an identically zero
-field to trace or an option out of range, 3 ambiguous scenario (the
-report is still written), 4 sweep event bracket failure.
+field to trace, a field grid that overflows on the window or an option
+out of range, 3 ambiguous scenario (the report is still written), 4
+sweep event bracket failure.
 """
 from __future__ import annotations
 
@@ -42,12 +43,16 @@ def _dump_json(obj, path: pathlib.Path):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _fail(message, code=2):
+    click.echo(message, err=True)
+    sys.exit(code)
+
+
 def _load(scene_path):
     try:
         return load_scene(scene_path)
     except SceneError as e:
-        click.echo(f"scene error: {e}", err=True)
-        sys.exit(2)
+        _fail(f"scene error: {e}")
 
 
 @click.group()
@@ -78,29 +83,31 @@ def analyze(scene_path, out_dir, grid):
 
     ff = feature_fields(bundle)
     contacts = []
-    for a, b in PAIRS:
-        for pt in intersect(ff[a], ff[b], scene.domain, n):
-            entry = {
-                "pair": [a, b],
-                "point": [float(pt.position[0]), float(pt.position[1])],
-                "transversal": pt.transversal,
-            }
-            try:
-                entry["order"] = contact_order(ff[a], ff[b], pt.position).order
-            except (SingularBaseCurve, ValueError):
-                entry["order"] = None
-            contacts.append(entry)
+    try:
+        for a, b in PAIRS:
+            for pt in intersect(ff[a], ff[b], scene.domain, n):
+                entry = {
+                    "pair": [a, b],
+                    "point": [float(pt.position[0]), float(pt.position[1])],
+                    "transversal": pt.transversal,
+                }
+                try:
+                    entry["order"] = contact_order(ff[a], ff[b], pt.position).order
+                except (SingularBaseCurve, ValueError):
+                    entry["order"] = None
+                contacts.append(entry)
+        umbilics = umbilic_points(scene.patch, scene.domain)
+    except ValueError as e:  # a field grid that overflows on the window
+        _fail(f"scene error: {e}")
     contacts.sort(key=lambda e: (e["pair"], e["point"]))
 
     doc = report.to_jsonable()
     doc["intersections"] = contacts
-    doc["umbilics"] = [[float(x), float(y)]
-                       for x, y in umbilic_points(scene.patch, scene.domain)]
+    doc["umbilics"] = [[float(x), float(y)] for x, y in umbilics]
     _dump_json(doc, out / "analysis.json")
     click.echo(f"scenario: {doc['scenario']}")
     if ambiguous:
-        click.echo(f"ambiguous quantities: {doc['ambiguous']}", err=True)
-        sys.exit(3)
+        _fail(f"ambiguous quantities: {doc['ambiguous']}", 3)
 
 
 @main.command("trace")
@@ -119,9 +126,8 @@ def trace_cmd(scene_path, out_dir, grid, formats):
     ff = feature_fields(fundamental_forms(scene.patch))
     try:
         curves = [trace(ff[k], scene.domain, n) for k in FIELD_KINDS]
-    except ValueError as e:  # an identically zero field
-        click.echo(f"scene error: {e}", err=True)
-        sys.exit(2)
+    except ValueError as e:  # a field that vanishes identically or overflows on the window
+        _fail(f"scene error: {e}")
     if "csv" in fmts:
         (out / "curves.csv").write_text(curves_to_csv(curves), encoding="utf-8")
     if "svg" in fmts:
@@ -156,8 +162,7 @@ def sweep_cmd(scene_path, out_dir, grid, formats, resolution):
     """Sweep the scene's family, writing per-t frames and an event list."""
     scene = _load(scene_path)
     if scene.family is None:
-        click.echo("scene error: sweep requires a family section", err=True)
-        sys.exit(2)
+        _fail("scene error: sweep requires a family section")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n = grid or min(scene.grid, 129)
@@ -169,11 +174,9 @@ def sweep_cmd(scene_path, out_dir, grid, formats, resolution):
         result = run_sweep(scene.family, monitors, scene.domain, n, resolution=resolution,
                            keep_curves=FIELD_KINDS if frames_wanted else ())
     except EventBracketError as e:
-        click.echo(f"sweep error: {e}", err=True)
-        sys.exit(4)
-    except ValueError as e:  # an identically zero field in a frame, a NaN or inf resolution
-        click.echo(f"scene error: {e}", err=True)
-        sys.exit(2)
+        _fail(f"sweep error: {e}", 4)
+    except ValueError as e:  # a field that vanishes identically or overflows, a bad resolution
+        _fail(f"scene error: {e}")
 
     events = [e.to_jsonable() for e in result.events]
     _dump_json({"events": events, "snapshots": result.snapshots},
@@ -224,8 +227,7 @@ def strata_cmd(uvw, path_file, out_dir):
     elif len(uvw) == 3:
         triples = [tuple(uvw)]
     else:
-        click.echo("usage: strata <u> <v> <w>  or  strata --path <file>", err=True)
-        sys.exit(2)
+        _fail("usage: strata <u> <v> <w>  or  strata --path <file>")
 
     rows = []
     for u, v, w in triples:

@@ -268,6 +268,8 @@ def umbilic_points(patch: MongePatch, domain=((-0.1, 0.1), (-0.1, 0.1)),
     xs = np.linspace(rect.xmin, rect.xmax, seeds)
     ys = np.linspace(rect.ymin, rect.ymax, seeds)
     R = sum(np.asarray(j.eval_grid(xs, ys), float) ** 2 for j in jets)
+    if not np.isfinite(R).all():
+        raise ValueError("umbilic residual A^2 + B^2 + C^2 is not finite on the window")
     # seeds: local minima of the residual
     pad = np.pad(R, 1, constant_values=np.inf)
     i, j = np.nonzero(R <= np.lib.stride_tricks.sliding_window_view(pad, (3, 3)).min(axis=(2, 3)))

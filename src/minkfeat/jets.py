@@ -16,10 +16,15 @@ bit-identical to ``polyval2d`` on the padded coefficient grid.
 ``Jet2.eval`` and ``Jet2.eval_grid`` run it once in x and once in y;
 ``_JetStack`` runs it on several jets at once, their true-degree grids
 padded with +0.0 into one array.
+
+Every series along a graph through the origin runs one kernel,
+``_compose``: Jet2.compose's sums in their order (reports pin their bytes),
+less terms that are ±0.0 through the coefficient asked for if finite.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -82,13 +87,10 @@ class Jet2:
 
     @classmethod
     def variable(cls, name: str, degree: int) -> "Jet2":
-        j = np.zeros((degree + 1, degree + 1))
-        if name == "x":
-            j[1, 0] = 1.0
-        elif name == "y":
-            j[0, 1] = 1.0
-        else:
+        if name not in ("x", "y"):
             raise ValueError("variable must be 'x' or 'y'")
+        j = np.zeros((degree + 1, degree + 1))
+        j[(1, 0) if name == "x" else (0, 1)] = 1.0
         return cls(degree, j)
 
     @classmethod
@@ -104,11 +106,8 @@ class Jet2:
 
     def to_triangular(self):
         """Flat list of (s, i, value) triples, row-major in (s, i)."""
-        out = []
-        for s in range(self.degree + 1):
-            for i in range(s + 1):
-                out.append((s, i, float(self.c[s - i, i])))
-        return out
+        return [(s, i, float(self.c[s - i, i]))
+                for s in range(self.degree + 1) for i in range(s + 1)]
 
     # ------------------------------------------------------------------ ring
     def _binary(self, other, op):
@@ -171,12 +170,7 @@ class Jet2:
         )
 
     def __repr__(self):
-        terms = []
-        for s in range(self.degree + 1):
-            for i in range(s + 1):
-                v = self.c[s - i, i]
-                if v != 0.0:
-                    terms.append(f"{v:g}*x^{s - i}*y^{i}")
+        terms = [f"{v:g}*x^{s - i}*y^{i}" for s, i, v in self.to_triangular() if v != 0.0]
         return f"Jet2(deg={self.degree}: {' + '.join(terms) or '0'})"
 
     # ------------------------------------------------------------- operations
@@ -296,20 +290,19 @@ class Jet2:
 
         Exact binomial shift: g(x, y) = f(x + px, y + py), truncated at
         the same degree (the shift of a polynomial of degree k has
-        degree k, so no information is lost).
+        degree k, so no information is lost), bit-identical to the double
+        loop over ``comb(p, a) * px ** (p - a) * c[p]``: one broadcast update
+        per row p, then per column q, keeps the order of every sum.
         """
-        from math import comb
-
         n = self.degree + 1
+        sx, sy = (np.array([[comb(p, a) * s ** (p - a) if a <= p else 0.0 for p in range(n)]
+                            for a in range(n)]) for s in (px, py))
+        cx, out = np.zeros((2, n, n))
         # shift in x: coefficient of x^a in sum_p c[p,q] (x+px)^p
-        cx = np.zeros((n, n))
         for p in range(n):
-            for a_ in range(p + 1):
-                cx[a_, :] += comb(p, a_) * px ** (p - a_) * self.c[p, :]
-        out = np.zeros((n, n))
+            cx[: p + 1] += sx[: p + 1, p, None] * self.c[p]
         for q in range(n):
-            for b_ in range(q + 1):
-                out[:, b_] += comb(q, b_) * py ** (q - b_) * cx[:, q]
+            out[:, : q + 1] += cx[:, q, None] * sy[: q + 1, q]
         return Jet2(self.degree, out)
 
 
@@ -374,41 +367,41 @@ def _series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose_graph(F: Jet2, g, solve_for: str, order: int) -> np.ndarray:
-    """Coefficients 0..order of F along a graph through the origin.
+def _compose(F: Jet2, graph: np.ndarray, solve_for: str, top: int) -> np.ndarray:
+    """Coefficients 0..top of F(graph, t) (solve_for='x') or F(t, graph)
+    ('y'), graph[0] = 0, at W = graph.size - 1: no power of graph above t^top
+    (±0.0 through t^top when finite), powers of t as exact shifts, arrays of
+    length W + 1, since ``_series_mul`` orders its sums by nonzero counts."""
+    one, out = np.zeros((2, graph.size))
+    one[0] = 1.0
+    pw = [one]  # graph**0 .. graph**min(F.degree, top)
+    for _ in range(min(F.degree, top)):
+        pw.append(_series_mul(pw[-1], graph))
+    for p in range(len(pw)):
+        if not F.c[p].any():
+            continue
+        row = np.zeros(graph.size)
+        if solve_for == "x":  # row p of F(graph, t) is F.c[p], times graph**p
+            row[: F.degree + 1] = F.c[p]
+            out += _series_mul(pw[p], row)
+        else:  # row p of F(t, graph) is sum_q F.c[p, q] graph**q, times t^p
+            for q in F.c[p, : top - p + 1].nonzero()[0]:
+                row += pw[q] * F.c[p, q]
+            out[p:] += row[: graph.size - p]
+    return out
 
-    With solve_for='x' the series of F(g(t), t), with solve_for='y' that
-    of F(t, g(t)), where g(t) = g[0] t + g[1] t^2 + ... (the coefficients
-    returned by ift_series).  Both are one-variable series, so this runs
-    Jet2.compose's Horner scheme over the rows of F on 1-D arrays of the
-    work degree W = max(F.degree, order).  The arrays are never cut below
-    W, because their nonzero counts fix the order of every sum: each
-    coefficient is then bit-identical to composing F with the graph as a
-    row-0 or column-0 Jet2.
-    """
+
+def compose_graph(F: Jet2, g, solve_for: str, order: int) -> np.ndarray:
+    """Coefficients 0..order of F(g(t), t) (solve_for='x') or F(t, g(t))
+    ('y'), g(t) = g[0] t + g[1] t^2 + ... as returned by ift_series:
+    ``_compose`` at W = max(F.degree, order), bit-identical to composing F
+    with the graph as a row-0 or column-0 Jet2 of degree W."""
     if solve_for not in ("x", "y"):
         raise ValueError("solve_for must be 'x' or 'y'")
-    W = max(F.degree, order)
-    one, t, graph = np.zeros((3, W + 1))
-    one[0] = 1.0
-    t[1:2] = 1.0  # the parameter t itself (nothing to set when W = 0)
-    m = min(len(g), W)
+    graph = np.zeros(max(F.degree, order) + 1)
+    m = min(len(g), graph.size - 1)
     graph[1 : m + 1] = np.asarray(g, dtype=float)[:m]
-    u, v = (graph, t) if solve_for == "x" else (t, graph)
-    vpow = [one]
-    for _ in range(F.degree):
-        vpow.append(_series_mul(vpow[-1], v))
-    out = np.zeros(W + 1)
-    upow = one
-    for p in range(F.degree + 1):
-        nz = F.c[p].nonzero()[0]
-        if nz.size:
-            row = np.zeros(W + 1)
-            for q in nz:
-                row += vpow[q] * F.c[p, q]
-            out += _series_mul(upow, row)
-        upow = _series_mul(upow, u)
-    return out[: order + 1]
+    return _compose(F, graph, solve_for, order)[: order + 1]
 
 
 def ift_series(F: Jet2, solve_for: str, order: int, tol: float = 1e-12) -> np.ndarray:
@@ -416,7 +409,8 @@ def ift_series(F: Jet2, solve_for: str, order: int, tol: float = 1e-12) -> np.nd
 
     With solve_for='x' returns g such that F(g(y), y) = O(y^(order+1));
     with solve_for='y' the symmetric statement.  Requires F(0,0) = 0 and
-    a nonzero partial in the solved variable.
+    a nonzero partial in the solved variable.  Step k solves g_k from
+    ``_compose`` through t^k only, at the full W = max(F.degree, order).
     """
     if solve_for not in ("x", "y"):
         raise ValueError("solve_for must be 'x' or 'y'")
@@ -427,10 +421,10 @@ def ift_series(F: Jet2, solve_for: str, order: int, tol: float = 1e-12) -> np.nd
     if abs(lead) <= tol * scale:
         raise DegenerateIFT("required partial derivative vanishes at the origin")
 
-    g = np.zeros(order)  # g[k - 1] multiplies param^k
+    graph = np.zeros(max(F.degree, order) + 1)  # graph[k] multiplies param^k
     for k in range(1, order + 1):
-        g[k - 1] = -compose_graph(F, g, solve_for, order)[k] / lead
-    return g
+        graph[k] = -_compose(F, graph, solve_for, k)[k] / lead
+    return graph[1 : order + 1].copy()
 
 
 def invert_map(u: Jet2, v: Jet2) -> tuple[Jet2, Jet2]:

@@ -152,7 +152,7 @@ def trace(fld: FeatureField, domain=DEFAULT_DOMAIN, n: int = DEFAULT_GRID) -> Tr
     ys = np.linspace(rect.ymin, rect.ymax, n)
     jet = fld.jet
     V = jet.eval_grid(xs, ys)
-    S, hcross, vcross, cells = _sign_changes(V)
+    S, hcross, vcross, cells = _sign_changes(V, fld.kind)
     # edge (i, j, o), o = 0 for (i,j)-(i+1,j) and 1 for (i,j)-(i,j+1), has
     # key 2 (i n + j) + o: its flat index in `crossing`, so keys sort like
     # the (i, j, o) triples
@@ -246,10 +246,12 @@ def trace(fld: FeatureField, domain=DEFAULT_DOMAIN, n: int = DEFAULT_GRID) -> Tr
     return TracedCurve(fld.kind, out_lines, out_res, isolated, rect, n)
 
 
-def _sign_changes(V):
-    """Signs of the grid values V, a zero counting as positive (bisection
-    recovers a zero vertex), and the masks of the edges (i,j)-(i+1,j) and
-    (i,j)-(i,j+1), and of the cells, whose corners differ in sign."""
+def _sign_changes(V, kind):
+    """Signs of the grid values V of the ``kind`` field, ValueError if one is
+    not finite, a zero counting as positive (bisection recovers a zero vertex);
+    masks of the edges (i,j)-(i+1,j), (i,j)-(i,j+1) and cells changing sign."""
+    if not np.isfinite(V).all():
+        raise ValueError(f"{kind} field is not finite on the window: its grid overflows")
     S = np.sign(V)
     S[S == 0] = 1.0
     hcross = S[:-1, :] * S[1:, :] < 0
@@ -401,7 +403,7 @@ def _sign_change_cells(fld: FeatureField, rect: Rect, n: int) -> np.ndarray:
     cells = fld._sign_cells.get((rect, n))
     if cells is None:
         cells = _sign_changes(fld.jet.eval_grid(np.linspace(rect.xmin, rect.xmax, n),
-                                                np.linspace(rect.ymin, rect.ymax, n)))[3]
+                                                np.linspace(rect.ymin, rect.ymax, n)), fld.kind)[3]
         cells.setflags(write=False)
         fld._sign_cells[(rect, n)] = cells
     return cells

@@ -331,6 +331,18 @@ def test_classify_singularity_work_count(jet_work):
     assert work["new"] <= 4
 
 
+@pytest.mark.parametrize("geometry,make", [
+    (lightlike_umbilic_geometry, lightlike_umbilic_patch),
+    (flat_umbilic_geometry, flat_umbilic_patch),
+])
+def test_umbilic_geometry_builds_one_bundle(jet_work, geometry, make):
+    """Called directly, each geometry helper builds the patch's form bundle
+    once and shares it with its classify_point call (it built two)."""
+    geo, work = jet_work(geometry, make(np.random.default_rng(12)))
+    assert geo
+    assert work["forms"] == 1
+
+
 def test_scenario_mcnc_morse_sing():
     rng = np.random.default_rng(14)
     p = mcnc_singular_patch(rng)

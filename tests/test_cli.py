@@ -262,6 +262,30 @@ def test_identically_zero_field_exit_2(tmp_path, command, extra):
     assert "scene error" in r.output and "LPL field is identically zero" in r.output
 
 
+OVERFLOWING = [(key, value, command)
+               for key, value, commands in [
+                   ("domain", {"halfwidth": 1e60}, ("analyze", "trace", "sweep")),
+                   ("domain", {"halfwidth": 1e90, "center": [1e100, 0]},
+                    ("analyze", "trace", "sweep")),
+                   ("family.range", [1e307, 1.5e308], ("sweep",)),
+               ]
+               for command in commands]
+
+
+@pytest.mark.parametrize("key,value,command", OVERFLOWING,
+                         ids=[f"{c}-{k}={v!r}"[:50] for k, v, c in OVERFLOWING])
+def test_overflowing_field_grid_exit_2(tmp_path, key, value, command):
+    """A finite window or family range on which the fields overflow to
+    inf or NaN is a scene error naming the field, not a result computed
+    from non-finite grids."""
+    scene = write_scene(tmp_path, _with(SWEEP_SCENE, key, value))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = CliRunner().invoke(main, [command, scene, "--out", str(tmp_path / "out"),
+                                      "--grid", "17"])
+    assert r.exit_code == 2, r.output
+    assert "scene error:" in r.output and "field is not finite on the window" in r.output
+
+
 @pytest.mark.parametrize("command", ["analyze", "trace", "sweep"])
 @pytest.mark.parametrize("grid", [0, 5, MAX_GRID + 1])
 def test_grid_option_out_of_range_exit_2(tmp_path, command, grid):

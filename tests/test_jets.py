@@ -278,7 +278,55 @@ def test_ift_series_matches_2d_compose_bitwise(F, solve_for, order, lead, sign):
     assert ift_series(F, solve_for, order).tobytes() == ift_route(F, solve_for, order).tobytes()
 
 
+@pytest.mark.parametrize("solve_for", "xy")
+@pytest.mark.parametrize("order", [3, 7, 9])
+def test_ift_series_products_bounded_by_order(jet_work, solve_for, order):
+    """Step k of ift_series composes through t^k only, so the series makes
+    at most order * (order + 2) products of 1-D series whatever F's degree
+    (recomposing the whole series at W = 16 per coefficient made 450 at
+    order 9)."""
+    rng = np.random.default_rng(order)
+    counts = {}
+    for degree in (8, 16):
+        c = rng.normal(size=(degree + 1, degree + 1))
+        c[0, 0] = 0.0
+        c[(1, 0) if solve_for == "x" else (0, 1)] = 1.5
+        _, work = jet_work(ift_series, Jet2(degree, c), solve_for, order)
+        counts[degree] = work["series"]
+    assert max(counts.values()) <= order * (order + 2)
+    if order <= 8:  # every row of F up to t^order exists at both degrees
+        assert counts[8] == counts[16]
+
+
 # ------------------------------------------------------------------- recenter
+def recenter_loop(jet, px, py):
+    """Jet2.recenter as the plain double loop over the binomial terms."""
+    from math import comb
+
+    n = jet.degree + 1
+    # shift in x: coefficient of x^a in sum_p c[p,q] (x+px)^p
+    cx = np.zeros((n, n))
+    for p in range(n):
+        for a_ in range(p + 1):
+            cx[a_, :] += comb(p, a_) * px ** (p - a_) * jet.c[p, :]
+    out = np.zeros((n, n))
+    for q in range(n):
+        for b_ in range(q + 1):
+            out[:, b_] += comb(q, b_) * py ** (q - b_) * cx[:, q]
+    return Jet2(jet.degree, out)
+
+
+NORMAL = st.floats(-2.0, 2.0, allow_subnormal=False)
+SHIFTS = st.one_of(st.sampled_from([0.0, -0.0, 1e-310, 3.0, -3.0]), NORMAL,
+                   NORMAL.map(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_jets(), SHIFTS, SHIFTS)
+def test_recenter_matches_double_loop_bitwise(F, px, py):
+    assert F.recenter(px, py).c.tobytes() == recenter_loop(F, px, py).c.tobytes()
+
+
 def test_recenter_examples():
     j = Jet2.from_triangular(2, [(2, 0, 1.0)])  # x^2
     r = j.recenter(1.0, 0.0)
